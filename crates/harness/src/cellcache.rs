@@ -6,7 +6,9 @@
 //! cargo feature flags, and the code version captured by
 //! [`ccraft_telemetry::manifest::Provenance`]. Two processes that agree
 //! on those inputs agree on the digest, so a warm `ccraft-serve` daemon
-//! can answer a repeated sweep without simulating anything.
+//! can answer a repeated sweep without simulating anything, and an
+//! experiment run's cell store ([`crate::checkpoint`]) keeps its durable
+//! layer, `results/cells/`, in a [`ResultCache`].
 //!
 //! Entries are stored durably through [`crate::store`]
 //! (`write_durable`/`read_verified`), so the chaos-soak guarantees

@@ -1,31 +1,48 @@
-//! Crash-resilient experiment checkpointing.
+//! Per-run cell store and the final experiment checkpoint.
 //!
-//! The runner records every completed matrix cell into
-//! `results/checkpoint.json` (written atomically after each cell), so a
-//! crashed or killed experiment can be re-run with `--resume` and only
-//! the unfinished cells execute. A checkpoint belongs to one experiment
-//! configuration, captured in its *fingerprint* (experiment id + size +
-//! seed + canonical fault-injection spec, or `none`); resuming against a
-//! different configuration — including a changed `--inject` — discards
-//! the stale file rather than mixing results.
+//! Every experiment run owns one *cell store*, held in the
+//! process-global [`Session`] that [`crate::runner::run_experiment`]
+//! installs, so every matrix call inside an experiment body goes through
+//! it without threading a handle through each experiment's signature.
+//! Cells are keyed by a [`CellKey`] digest of everything that
+//! determines their result (see [`crate::runner::cell_key`]). The store
+//! has three parts:
 //!
-//! Cell keys are `m<call>/<workload>/<scheme>`: experiments may invoke
-//! the matrix runner several times, and calls are numbered in execution
-//! order, which is deterministic across runs of the same binary.
+//! * an **in-memory memo** (digest → result) that lets a later matrix —
+//!   or a later cell of the same matrix — reuse a result this run
+//!   already has instead of simulating it again;
+//! * a **durable layer** at `results/cells/`: a [`ResultCache`] holding
+//!   one checksummed file per distinct successful cell, written as the
+//!   cell completes;
+//! * **`results/checkpoint.json`**, written once when the session ends
+//!   ([`finish`]/[`clear`]), holding a [`CellRecord`] for every cell of
+//!   the run, reused ones included.
 //!
-//! The active session is process-global (installed by
-//! [`crate::runner::run_experiment`]) so every matrix call inside an
-//! experiment body checkpoints automatically, without threading a handle
-//! through each experiment's signature.
+//! `--resume` reopens the run's `results/cells/`: a cell whose digest is
+//! already there replays its stored result without executing. Replay is
+//! by digest, so a changed size, seed, machine or inject spec simply
+//! misses. A run without `--resume` starts with an empty `results/cells/`.
+//!
+//! Record keys are `m<call>/<workload>/<column>/<scheme>`: experiments
+//! may invoke the matrix runner several times (calls are numbered in
+//! execution order), and one matrix may hold several variants of one
+//! scheme name, told apart by their scheme column.
 
+use crate::cellcache::{CacheEntry, CellKey, ResultCache};
 use crate::error::Error;
 use ccraft_sim::stats::SimStats;
+use ccraft_telemetry::manifest::Provenance;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Format version of `checkpoint.json`.
 pub const CHECKPOINT_SCHEMA: u32 = 1;
+
+/// Name of the durable cell-store directory, a sibling of
+/// `checkpoint.json`.
+pub const CELLS_DIR: &str = "cells";
 
 /// Cell completed successfully.
 pub const STATUS_OK: &str = "ok";
@@ -37,14 +54,15 @@ pub const STATUS_TIMEOUT: &str = "timeout";
 /// Outcome of one recorded matrix cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellRecord {
-    /// `m<call>/<workload>/<scheme>` identifier.
+    /// `m<call>/<workload>/<column>/<scheme>` identifier.
     pub key: String,
     /// One of [`STATUS_OK`] / [`STATUS_FAILED`] / [`STATUS_TIMEOUT`].
     pub status: String,
     /// Panic or timeout message, for failed cells.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub message: Option<String>,
-    /// Execution attempts consumed (≥ 1).
+    /// Execution attempts consumed (0 for a cell reused from the cell
+    /// store).
     pub attempts: u32,
     /// Per-attempt outcome log (`"attempt 1: failed: <msg>"`, ...),
     /// recorded so a post-mortem can see *how* a cell reached its final
@@ -56,12 +74,12 @@ pub struct CellRecord {
     pub stats: Option<SimStats>,
     /// Threads the cell's cycle loop was *actually* sharded across.
     /// Telemetry/fault-injection cells fall back to 1 regardless of the
-    /// requested `--sim-threads`; resumed cells replay this recorded
-    /// value so manifests stay truthful across a resume. Checkpoints
-    /// from before this field existed read back as 1.
+    /// requested `--sim-threads`; reused cells carry the value recorded
+    /// when the result was produced, so manifests stay truthful across a
+    /// resume. Checkpoints from before this field existed read back as 1.
     #[serde(default = "default_cell_sim_threads")]
     pub sim_threads: u32,
-    /// Result-cache disposition (`"hit"` / `"miss"` / `"uncached"`);
+    /// Cell-store disposition (`"hit"` / `"miss"` / `"uncached"`);
     /// empty in checkpoints from before the cache existed.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub cache: String,
@@ -74,7 +92,7 @@ fn default_cell_sim_threads() -> u32 {
 }
 
 impl CellRecord {
-    /// `true` when the cell completed and its stats can be replayed.
+    /// `true` when the cell completed and its stats are present.
     pub fn is_ok(&self) -> bool {
         self.status == STATUS_OK && self.stats.is_some()
     }
@@ -87,162 +105,151 @@ pub struct Checkpoint {
     pub schema: u32,
     /// Experiment configuration this checkpoint belongs to.
     pub fingerprint: String,
-    /// Completed cells, in completion order.
+    /// Every recorded cell, in completion order.
     pub cells: Vec<CellRecord>,
 }
 
-/// A live checkpointing session for one experiment run.
+/// A live experiment run: its cell store and the records of every cell.
 #[derive(Debug)]
 pub struct Session {
     path: PathBuf,
     checkpoint: Checkpoint,
-    /// Keys loaded from a resumed file — cells eligible for skipping.
-    resumed_keys: Vec<String>,
     matrix_calls: u32,
-    /// Non-fatal problems hit while loading (corrupt checkpoint
-    /// quarantined, schema mismatch, ...); surfaced in the run manifest.
+    /// Matrix cells requested so far, reused and skipped ones included.
+    requested: usize,
+    /// Non-fatal problems hit while opening the cell store; surfaced in
+    /// the run manifest.
     warnings: Vec<String>,
+    /// In-memory memo: digest → result of every ok cell this run has
+    /// simulated or loaded.
+    memo: BTreeMap<String, CacheEntry>,
+    /// The durable layer (`results/cells/`), absent when the directory
+    /// could not be opened.
+    cells: Option<Arc<ResultCache>>,
+    /// Build provenance, captured on first use: its code version is part
+    /// of every cell key.
+    provenance: Option<Provenance>,
 }
 
 impl Session {
-    /// Opens a session at `path` for the given fingerprint.
+    /// Opens a session whose checkpoint will be written to `path` and
+    /// whose durable cell store lives in the sibling [`CELLS_DIR`].
     ///
-    /// With `resume`, an existing checkpoint with a matching fingerprint
-    /// is loaded and its successful cells become skippable; a missing,
-    /// unreadable, or mismatched file starts fresh (with a stderr note on
-    /// mismatch, since that usually means a different `--size`/`--seed`).
+    /// With `resume`, the existing cell store is reopened and its cells
+    /// become reusable; without, it is emptied first. A store that cannot
+    /// be opened leaves the session memo-only (with a warning).
     pub fn start(fingerprint: &str, path: PathBuf, resume: bool) -> Self {
-        let mut resumed_keys = Vec::new();
         let mut warnings = Vec::new();
-        let mut checkpoint = Checkpoint {
-            schema: CHECKPOINT_SCHEMA,
-            fingerprint: fingerprint.to_string(),
-            cells: Vec::new(),
+        let dir = path.with_file_name(CELLS_DIR);
+        if !resume && dir.exists() {
+            if let Err(e) = std::fs::remove_dir_all(&dir) {
+                warnings.push(format!("emptying cell store {}: {e}", dir.display()));
+            }
+        }
+        let cells = match ResultCache::open(&dir) {
+            Ok(cache) => Some(Arc::new(cache)),
+            Err(e) => {
+                warnings.push(format!(
+                    "cell store unavailable ({e}); results are not durable"
+                ));
+                None
+            }
         };
-        if resume {
-            match Self::load(&path, &mut warnings) {
-                Some(prev) if prev.fingerprint == fingerprint => {
-                    resumed_keys = prev
-                        .cells
-                        .iter()
-                        .filter(|c| c.is_ok())
-                        .map(|c| c.key.clone())
-                        .collect();
-                    checkpoint = prev;
-                }
-                Some(prev) => {
-                    warnings.push(format!(
-                        "checkpoint at {} was produced by a different \
-                         configuration ({} != {fingerprint}); starting fresh",
-                        path.display(),
-                        prev.fingerprint
-                    ));
-                }
-                None => {}
-            }
-            for w in &warnings {
-                eprintln!("warning: {w}");
-            }
+        for w in &warnings {
+            eprintln!("warning: {w}");
         }
         Session {
             path,
-            checkpoint,
-            resumed_keys,
+            checkpoint: Checkpoint {
+                schema: CHECKPOINT_SCHEMA,
+                fingerprint: fingerprint.to_string(),
+                cells: Vec::new(),
+            },
             matrix_calls: 0,
+            requested: 0,
             warnings,
+            memo: BTreeMap::new(),
+            cells,
+            provenance: None,
         }
     }
 
-    /// Loads and verifies a checkpoint. A file that fails checksum
-    /// verification or cannot be parsed is *quarantined* (moved to
-    /// `<name>.corrupt-<n>` by [`crate::store`]) rather than silently
-    /// overwritten, and the problem is appended to `warnings` for the
-    /// run manifest.
-    fn load(path: &Path, warnings: &mut Vec<String>) -> Option<Checkpoint> {
-        if !path.exists() {
-            return None;
-        }
-        let text = match crate::store::read_verified_string(path) {
-            Ok((text, _verified)) => text,
-            Err(e @ Error::Corrupt { .. }) => {
-                // read_verified already quarantined the file.
-                warnings.push(format!("checkpoint {e}; starting fresh"));
-                return None;
-            }
-            Err(e) => {
-                warnings.push(format!(
-                    "checkpoint at {} unreadable: {e}; starting fresh",
-                    path.display()
-                ));
-                return None;
-            }
-        };
-        match serde_json::from_str::<Checkpoint>(&text) {
-            Ok(cp) if cp.schema == CHECKPOINT_SCHEMA => Some(cp),
-            Ok(cp) => {
-                let preserved = match crate::store::quarantine(path) {
-                    Ok(q) => format!("preserved at {}", q.display()),
-                    Err(e) => format!("quarantine failed: {e}"),
-                };
-                warnings.push(format!(
-                    "checkpoint at {} has schema {} (want {CHECKPOINT_SCHEMA}); \
-                     {preserved}; starting fresh",
-                    path.display(),
-                    cp.schema
-                ));
-                None
-            }
-            Err(e) => {
-                let preserved = match crate::store::quarantine(path) {
-                    Ok(q) => format!("preserved at {}", q.display()),
-                    Err(e) => format!("quarantine failed: {e}"),
-                };
-                warnings.push(format!(
-                    "unparseable checkpoint at {}: {e}; {preserved}; starting fresh",
-                    path.display()
-                ));
-                None
-            }
-        }
-    }
-
-    /// Key prefix for the next matrix call (`m0`, `m1`, ...). Call order
-    /// is deterministic per experiment binary, so prefixes line up across
-    /// a resume.
-    pub fn next_matrix_prefix(&mut self) -> String {
+    /// Key prefix for the next matrix call (`m0`, `m1`, ...) of a matrix
+    /// of `cells` cells, which are counted as requested.
+    pub fn next_matrix_prefix(&mut self, cells: usize) -> String {
         let p = format!("m{}", self.matrix_calls);
         self.matrix_calls += 1;
+        self.requested += cells;
         p
     }
 
-    /// Looks up a resumable record: successful cells loaded from a
-    /// `--resume`d checkpoint. Cells recorded during *this* run, and
-    /// failed or timed-out cells, are not skippable.
-    pub fn resumable(&self, key: &str) -> Option<&CellRecord> {
-        if !self.resumed_keys.iter().any(|k| k == key) {
-            return None;
-        }
-        self.checkpoint
-            .cells
-            .iter()
-            .find(|c| c.key == key && c.is_ok())
+    /// Code version for cell keys: `rustc @ git commit`, captured once
+    /// per session.
+    pub fn code_version(&mut self) -> String {
+        let p = self.provenance.get_or_insert_with(Provenance::capture);
+        format!("{} @ {}", p.rustc, p.git_commit)
     }
 
-    /// Records one completed cell (replacing any previous record with the
-    /// same key) and persists the checkpoint.
+    /// The build provenance, if a cell key has captured it.
+    pub fn provenance(&self) -> Option<&Provenance> {
+        self.provenance.as_ref()
+    }
+
+    /// Looks a cell up: first in the memo, then in the durable store
+    /// (a hit there is memoized). A damaged durable entry is quarantined
+    /// by the store and reported as a miss.
+    pub fn lookup(&mut self, key: &CellKey) -> Option<CacheEntry> {
+        let digest = key.digest();
+        if let Some(entry) = self.memo.get(&digest).filter(|e| e.key == *key) {
+            return Some(entry.clone());
+        }
+        let entry = self.cells.as_ref()?.lookup(key)?;
+        self.memo.insert(digest, entry.clone());
+        Some(entry)
+    }
+
+    /// Memoizes a freshly simulated cell for the rest of the run. The
+    /// durable write goes through [`Session::cell_store`], outside the
+    /// session lock.
+    pub fn remember(&mut self, key: &CellKey, stats: &SimStats, sim_threads: u32) {
+        let digest = key.digest();
+        self.memo.insert(
+            digest.clone(),
+            CacheEntry {
+                digest,
+                key: key.clone(),
+                stats: stats.clone(),
+                sim_threads,
+            },
+        );
+    }
+
+    /// The durable layer, shared with the matrix workers.
+    pub fn cell_store(&self) -> Option<Arc<ResultCache>> {
+        self.cells.clone()
+    }
+
+    /// Records one completed cell, replacing any previous record with the
+    /// same key. Records stay in memory until [`Session::save`].
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] when the checkpoint file cannot be written.
+    /// Never fails today; callers handle the `Result` so recording may
+    /// become fallible without an API change.
     pub fn record(&mut self, record: CellRecord) -> Result<(), Error> {
         self.checkpoint.cells.retain(|c| c.key != record.key);
         self.checkpoint.cells.push(record);
-        self.save()
+        Ok(())
     }
 
     /// All recorded cells.
     pub fn cells(&self) -> &[CellRecord] {
         &self.checkpoint.cells
+    }
+
+    /// Matrix cells requested so far.
+    pub fn requested(&self) -> usize {
+        self.requested
     }
 
     /// Messages of every non-ok cell, for the run manifest.
@@ -267,8 +274,8 @@ impl Session {
         &self.path
     }
 
-    /// Non-fatal problems hit while loading the checkpoint (corrupt file
-    /// quarantined, schema mismatch, ...), for the run manifest.
+    /// Non-fatal problems hit while opening the cell store, for the run
+    /// manifest.
     pub fn warnings(&self) -> &[String] {
         &self.warnings
     }
@@ -280,10 +287,12 @@ impl Session {
     }
 
     /// Writes the checkpoint durably through [`crate::store`]: checksum
-    /// footer, temp file + fsync + atomic rename + directory fsync. A
-    /// kill mid-write leaves the previous checkpoint intact; a host crash
-    /// after return cannot lose it.
-    fn save(&self) -> Result<(), Error> {
+    /// footer, temp file + fsync + atomic rename + directory fsync.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] when the checkpoint file cannot be written.
+    pub fn save(&self) -> Result<(), Error> {
         let json = serde_json::to_string_pretty(&self.checkpoint)
             .map_err(|e| Error::config(format!("serializing checkpoint: {e}")))?;
         crate::store::write_durable(&self.path, json.as_bytes())
@@ -307,9 +316,25 @@ pub fn install(session: Session) -> Arc<Mutex<Session>> {
     handle
 }
 
-/// Removes the global session (end of experiment).
+/// Ends the global session: removes it and writes its checkpoint, once.
+/// Does nothing when no session is installed.
+///
+/// # Errors
+///
+/// Returns [`Error::Io`] when the checkpoint file cannot be written.
+pub fn finish() -> Result<(), Error> {
+    let Some(handle) = lock_current().take() else {
+        return Ok(());
+    };
+    let session = handle.lock().unwrap_or_else(PoisonError::into_inner);
+    session.save()
+}
+
+/// [`finish`], reporting a checkpoint-write failure on stderr.
 pub fn clear() {
-    *lock_current() = None;
+    if let Err(e) = finish() {
+        eprintln!("warning: failed to write checkpoint: {e}");
+    }
 }
 
 /// The currently-installed session, if any.
@@ -333,6 +358,7 @@ mod tests {
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("ccraft-checkpoint-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -378,14 +404,32 @@ mod tests {
         }
     }
 
+    fn sample_key(seed: u64) -> CellKey {
+        CellKey {
+            scheme: "NoProtection".to_string(),
+            workload: "vecadd".to_string(),
+            machine: "tiny".to_string(),
+            size: "tiny".to_string(),
+            seed,
+            inject: "none".to_string(),
+            features: Vec::new(),
+            code_version: "test".to_string(),
+        }
+    }
+
+    fn read_back(path: &Path) -> Checkpoint {
+        let (text, verified) = crate::store::read_verified_string(path).unwrap();
+        assert!(verified, "checkpoint must carry a valid checksum footer");
+        serde_json::from_str(&text).unwrap()
+    }
+
     #[test]
-    fn record_then_resume_round_trips() {
+    fn records_stay_in_memory_until_saved() {
         let path = tmpdir("roundtrip").join("checkpoint.json");
-        let _ = std::fs::remove_file(&path);
         let mut s = Session::start("exp/small/1", path.clone(), false);
-        s.record(ok_record("m0/vecadd/cachecraft")).unwrap();
+        s.record(ok_record("m0/vecadd/0/cachecraft")).unwrap();
         s.record(CellRecord {
-            key: "m0/spmv/cachecraft".into(),
+            key: "m0/spmv/0/cachecraft".into(),
             status: STATUS_FAILED.into(),
             message: Some("boom".into()),
             attempts: 2,
@@ -398,118 +442,68 @@ mod tests {
             cache: String::new(),
         })
         .unwrap();
+        assert!(!path.exists(), "recording must not write the checkpoint");
+        assert_eq!(s.failed_cells(), 1);
+        let msgs = s.failure_messages();
+        assert_eq!(msgs.len(), 1);
+        assert!(msgs[0].contains("boom"), "{msgs:?}");
 
-        let resumed = Session::start("exp/small/1", path.clone(), true);
-        assert!(resumed.resumable("m0/vecadd/cachecraft").is_some());
-        // Failed cells are not skippable: they re-run.
-        assert!(resumed.resumable("m0/spmv/cachecraft").is_none());
-        assert_eq!(resumed.cells().len(), 2);
-        assert_eq!(resumed.failed_cells(), 1);
+        s.save().unwrap();
+        let cp = read_back(&path);
+        assert_eq!(cp.fingerprint, "exp/small/1");
+        assert_eq!(cp.cells.len(), 2);
         // Attempt history round-trips through the durable store.
-        let failed = resumed
-            .cells()
-            .iter()
-            .find(|c| c.key == "m0/spmv/cachecraft")
-            .unwrap();
+        let failed = cp.cells.iter().find(|c| !c.is_ok()).unwrap();
         assert_eq!(failed.history.len(), 2);
         assert!(
             failed.history[0].contains("attempt 1"),
             "{:?}",
             failed.history
         );
-        let msgs = resumed.failure_messages();
-        assert_eq!(msgs.len(), 1);
-        assert!(msgs[0].contains("boom"), "{msgs:?}");
     }
 
     #[test]
-    fn without_resume_existing_checkpoint_is_ignored() {
-        let path = tmpdir("noresume").join("checkpoint.json");
-        let _ = std::fs::remove_file(&path);
-        let mut s = Session::start("f", path.clone(), false);
-        s.record(ok_record("m0/a/b")).unwrap();
-        let fresh = Session::start("f", path, false);
-        assert!(fresh.resumable("m0/a/b").is_none());
-    }
-
-    #[test]
-    fn fingerprint_mismatch_starts_fresh() {
-        let path = tmpdir("mismatch").join("checkpoint.json");
-        let _ = std::fs::remove_file(&path);
-        let mut s = Session::start("exp/small/1", path.clone(), false);
-        s.record(ok_record("m0/a/b")).unwrap();
-        let other = Session::start("exp/full/2", path, true);
-        assert!(other.resumable("m0/a/b").is_none());
-        assert!(other.cells().is_empty());
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_quarantined_not_dropped() {
-        let dir = tmpdir("corrupt");
-        let path = dir.join("checkpoint.json");
-        let _ = std::fs::remove_file(dir.join("checkpoint.json.corrupt-0"));
-        std::fs::write(&path, "{ not json").unwrap();
-        let s = Session::start("f", path.clone(), true);
-        assert!(s.cells().is_empty());
-        // The original bytes are preserved for post-mortem, and the
-        // problem is surfaced for the manifest.
-        assert!(!path.exists(), "corrupt checkpoint must be moved aside");
-        let q = dir.join("checkpoint.json.corrupt-0");
-        assert_eq!(std::fs::read_to_string(&q).unwrap(), "{ not json");
-        assert_eq!(s.warnings().len(), 1);
-        assert!(s.warnings()[0].contains("corrupt-0"), "{:?}", s.warnings());
-        let _ = std::fs::remove_file(q);
-    }
-
-    #[test]
-    fn checksum_corrupt_checkpoint_is_quarantined() {
-        let dir = tmpdir("crccorrupt");
-        let path = dir.join("checkpoint.json");
-        let _ = std::fs::remove_file(dir.join("checkpoint.json.corrupt-0"));
-        let mut s = Session::start("f", path.clone(), false);
-        s.record(ok_record("m0/a/b")).unwrap();
+    fn resume_reopens_the_cell_store_and_a_fresh_start_empties_it() {
+        let path = tmpdir("cells").join("checkpoint.json");
+        let s = Session::start("f", path.clone(), false);
+        let store = s.cell_store().expect("cell store opens");
+        assert_eq!(store.dir(), path.with_file_name(CELLS_DIR));
+        store.insert(&sample_key(1), &sample_stats(), 2).unwrap();
         drop(s);
-        // Flip a payload byte under the checksum footer.
-        let mut raw = std::fs::read(&path).unwrap();
-        raw[2] ^= 0xFF;
-        std::fs::write(&path, &raw).unwrap();
-        let fresh = Session::start("f", path.clone(), true);
-        assert!(fresh.cells().is_empty());
-        assert!(!path.exists());
-        assert!(dir.join("checkpoint.json.corrupt-0").exists());
-        assert!(
-            fresh.warnings().iter().any(|w| w.contains("verification")),
-            "{:?}",
-            fresh.warnings()
-        );
-        let _ = std::fs::remove_file(dir.join("checkpoint.json.corrupt-0"));
+
+        let mut resumed = Session::start("f", path.clone(), true);
+        let hit = resumed
+            .lookup(&sample_key(1))
+            .expect("resume sees the entry");
+        assert_eq!(hit.stats, sample_stats());
+        assert_eq!(hit.sim_threads, 2);
+        assert!(resumed.lookup(&sample_key(2)).is_none());
+
+        let mut fresh = Session::start("f", path, false);
+        assert!(fresh.lookup(&sample_key(1)).is_none());
+        assert!(fresh.cell_store().unwrap().is_empty());
     }
 
     #[test]
-    fn legacy_footerless_checkpoint_still_resumes() {
-        let dir = tmpdir("legacyresume");
-        let path = dir.join("checkpoint.json");
-        let _ = std::fs::remove_file(&path);
-        // Write a valid checkpoint through the store, then strip the
-        // footer to simulate a file from before the store existed.
-        let mut s = Session::start("f", path.clone(), false);
-        s.record(ok_record("m0/a/b")).unwrap();
-        drop(s);
-        let raw = std::fs::read(&path).unwrap();
-        let payload = crate::store::strip_footer(&raw).to_vec();
-        std::fs::write(&path, payload).unwrap();
-        let resumed = Session::start("f", path, true);
-        assert!(resumed.resumable("m0/a/b").is_some());
-        assert!(resumed.warnings().is_empty());
+    fn remembered_cells_are_reused_by_digest() {
+        let path = tmpdir("memo").join("checkpoint.json");
+        let mut s = Session::start("f", path, false);
+        assert!(s.lookup(&sample_key(1)).is_none());
+        s.remember(&sample_key(1), &sample_stats(), 3);
+        let hit = s.lookup(&sample_key(1)).expect("memo hit");
+        assert_eq!(hit.stats, sample_stats());
+        assert_eq!(hit.sim_threads, 3);
+        // The memo alone: nothing was written durably.
+        assert!(s.cell_store().unwrap().is_empty());
+        assert!(s.lookup(&sample_key(2)).is_none());
     }
 
     #[test]
     fn records_replace_same_key() {
         let path = tmpdir("replace").join("checkpoint.json");
-        let _ = std::fs::remove_file(&path);
         let mut s = Session::start("f", path, false);
         s.record(CellRecord {
-            key: "m0/a/b".into(),
+            key: "m0/a/0/b".into(),
             status: STATUS_TIMEOUT.into(),
             message: Some("timed out after 1s".into()),
             attempts: 1,
@@ -519,27 +513,39 @@ mod tests {
             cache: String::new(),
         })
         .unwrap();
-        s.record(ok_record("m0/a/b")).unwrap();
+        s.record(ok_record("m0/a/0/b")).unwrap();
         assert_eq!(s.cells().len(), 1);
         assert!(s.cells()[0].is_ok());
     }
 
     #[test]
-    fn matrix_prefixes_count_up() {
+    fn matrix_prefixes_count_up_and_requested_cells_add_up() {
         let path = tmpdir("prefix").join("checkpoint.json");
         let mut s = Session::start("f", path, false);
-        assert_eq!(s.next_matrix_prefix(), "m0");
-        assert_eq!(s.next_matrix_prefix(), "m1");
+        assert_eq!(s.next_matrix_prefix(4), "m0");
+        assert_eq!(s.next_matrix_prefix(6), "m1");
+        assert_eq!(s.requested(), 10);
     }
 
     #[test]
-    fn global_install_and_clear() {
+    fn global_install_and_clear_writes_the_checkpoint_once() {
         let _guard = test_guard();
         let path = tmpdir("global").join("checkpoint.json");
-        let handle = install(Session::start("f", path, false));
+        let handle = install(Session::start("f", path.clone(), false));
         let got = current().expect("session installed");
         assert!(Arc::ptr_eq(&handle, &got));
+        lock_current_session(&got)
+            .record(ok_record("m0/a/0/b"))
+            .unwrap();
+        assert!(!path.exists());
         clear();
         assert!(current().is_none());
+        assert_eq!(read_back(&path).cells.len(), 1);
+        // With no session installed, finishing is a no-op.
+        finish().unwrap();
+    }
+
+    fn lock_current_session(s: &Arc<Mutex<Session>>) -> std::sync::MutexGuard<'_, Session> {
+        s.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

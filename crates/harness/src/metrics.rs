@@ -35,13 +35,13 @@ pub const CELL_SECONDS_BUCKETS: [f64; 10] =
 pub struct MetricsRegistry {
     /// Matrix cells planned across all matrix calls so far.
     cells_planned: AtomicU64,
-    /// Cells finished (any status), including checkpoint-resumed ones.
+    /// Cells finished (any status), including reused ones.
     cells_completed: AtomicU64,
     /// Cells whose final status was failed or timed out.
     cells_failed: AtomicU64,
     /// Extra attempts consumed by retries (attempts beyond the first).
     cells_retried: AtomicU64,
-    /// Cells replayed from a resume checkpoint without executing.
+    /// Cells reused from the run's cell store without executing.
     cells_resumed: AtomicU64,
     /// Cells quarantined after permanent failure (degraded completion).
     cells_quarantined: AtomicU64,
@@ -92,7 +92,7 @@ impl MetricsRegistry {
         self.cells_planned.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` cells replayed from a checkpoint (they also count as
+    /// Records `n` cells reused from the cell store (they also count as
     /// completed, keeping ETA math consistent).
     pub fn add_resumed(&self, n: u64) {
         self.cells_resumed.fetch_add(n, Ordering::Relaxed);
@@ -240,7 +240,7 @@ impl MetricsRegistry {
         );
         counter(
             "ccraft_cells_resumed_total",
-            "Matrix cells replayed from a resume checkpoint.",
+            "Matrix cells reused from the run's cell store without executing.",
             resumed,
         );
         counter(

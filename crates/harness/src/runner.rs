@@ -3,12 +3,18 @@
 //!
 //! Every cell runs under [`std::panic::catch_unwind`] (optionally behind a
 //! watchdog timeout), so one diverging or panicking simulation marks only
-//! its own cell as failed instead of poisoning the worker pool. Completed
-//! cells are persisted to `results/checkpoint.json` through the
-//! process-global [`crate::checkpoint`] session installed by
-//! [`run_experiment`], and a killed run restarted with `--resume` skips
-//! the cells that already finished.
+//! its own cell as failed instead of poisoning the worker pool.
+//!
+//! Inside an experiment run ([`run_experiment`]), every standard matrix
+//! cell goes through the run's cell store (see [`crate::checkpoint`]),
+//! keyed by [`cell_key`]: a cell whose digest the run already has — from
+//! an earlier matrix, or from `results/cells/` under `--resume` — is
+//! reused without executing, and of the cells that share a digest inside
+//! one matrix only the first is simulated. Each distinct successful cell
+//! is written durably to `results/cells/` as it completes, and
+//! `results/checkpoint.json` is written once, when the run ends.
 
+use crate::cellcache::CellKey;
 use crate::checkpoint::{self, CellRecord, STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT};
 use crate::error::Error;
 use ccraft_core::factory::{run_scheme_exec, run_scheme_instrumented, SchemeKind};
@@ -18,6 +24,7 @@ use ccraft_sim::stats::SimStats;
 use ccraft_telemetry::manifest::RunManifest;
 use ccraft_telemetry::TelemetryConfig;
 use ccraft_workloads::{SizeClass, Workload};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::IsTerminal as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,7 +47,9 @@ common experiment options:
                            or bit2:fit=5000@24 (pattern bit1|bit2|bit3|
                            burst4|symbol|chiplane; rate per access or
                            fit=<FIT>[@hours])
-  --resume                 skip cells already in results/checkpoint.json
+  --resume                 reuse the cells this run's earlier attempts left
+                           in results/cells/ (matched by content digest,
+                           so a changed size, seed or --inject re-runs)
   --cell-timeout N         per-cell watchdog in seconds (default: none)
   --retries N              re-run a failed/timed-out cell N times (default: 0)
   --metrics-addr ADDR      serve live Prometheus metrics over HTTP while the
@@ -85,7 +94,8 @@ pub struct ExpOptions {
     pub sim_threads: u32,
     /// In-situ fault injection, when configured (`--inject`).
     pub inject: Option<FaultConfig>,
-    /// Resume from `results/checkpoint.json`, skipping finished cells.
+    /// Reopen `results/cells/` and reuse the cells stored there instead
+    /// of starting with an empty cell store.
     pub resume: bool,
     /// Per-cell watchdog timeout in seconds (`None` = unlimited).
     pub cell_timeout_secs: Option<u64>,
@@ -263,9 +273,7 @@ impl ExpOptions {
     }
 
     /// Canonical inject spec for checkpoint fingerprints (`"none"` when
-    /// no injection is configured). A resumed run whose `--inject`
-    /// differs must not replay cells recorded under the old fault
-    /// configuration.
+    /// no injection is configured).
     pub fn inject_fingerprint(&self) -> String {
         self.inject
             .map_or_else(|| "none".to_string(), |cfg| cfg.canonical_spec())
@@ -373,7 +381,9 @@ pub enum CellStatus {
         /// The configured timeout.
         secs: u64,
     },
-    /// Replayed from a `--resume`d checkpoint without executing.
+    /// Not executed: reused from the run's cell store (a cell with the
+    /// same digest earlier in this run, or in `results/cells/` under
+    /// `--resume`).
     Resumed,
     /// Never executed: the sweep was aborted by `--fail-fast` before
     /// this cell's turn. Not checkpointed and not counted in metrics.
@@ -391,12 +401,12 @@ impl CellStatus {
 /// (see `crate::cellcache`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheDisposition {
-    /// No cache was in play (plain experiment binaries).
+    /// No cache was in play (no session, or a custom cell body).
     #[default]
     Uncached,
-    /// Served from the cache; the simulation never ran.
+    /// Served from the cache or cell store; the simulation never ran.
     Hit,
-    /// Simulated and inserted into the cache.
+    /// Looked up, not found, and executed.
     Miss,
 }
 
@@ -407,16 +417,6 @@ impl CacheDisposition {
             CacheDisposition::Uncached => "uncached",
             CacheDisposition::Hit => "hit",
             CacheDisposition::Miss => "miss",
-        }
-    }
-
-    /// Parses the string form; anything unrecognized (including the
-    /// empty string of pre-cache checkpoints) reads as `Uncached`.
-    pub fn from_str_lossy(s: &str) -> Self {
-        match s {
-            "hit" => CacheDisposition::Hit,
-            "miss" => CacheDisposition::Miss,
-            _ => CacheDisposition::Uncached,
         }
     }
 }
@@ -456,12 +456,12 @@ pub struct CellOutcome {
     pub status: CellStatus,
     /// Simulation results, present when `status.is_ok()`.
     pub stats: Option<SimStats>,
-    /// Execution attempts consumed (0 for resumed cells).
+    /// Execution attempts consumed (0 for reused cells).
     pub attempts: u32,
     /// Per-attempt outcome log (`"attempt 1: failed: <msg>"`, ...),
     /// persisted into the checkpoint record for post-mortems.
     pub history: Vec<String>,
-    /// Effective per-cell shard count (for resumed cells, the value the
+    /// Effective per-cell shard count (for reused cells, the value the
     /// original execution recorded).
     pub sim_threads: u32,
     /// Result-cache disposition of the cell's stats.
@@ -600,22 +600,44 @@ fn run_one_cell(
     }
 }
 
+/// Records one cell outcome in the session.
+fn record_outcome(sess: &mut checkpoint::Session, key: String, outcome: &CellOutcome) {
+    let record = CellRecord {
+        key,
+        status: match &outcome.status {
+            CellStatus::Ok | CellStatus::Resumed => STATUS_OK.to_string(),
+            CellStatus::Failed { .. } => STATUS_FAILED.to_string(),
+            CellStatus::TimedOut { .. } => STATUS_TIMEOUT.to_string(),
+            // Skipped cells never executed and are never recorded.
+            CellStatus::Skipped => unreachable!("skipped cell recorded"),
+        },
+        message: outcome.as_error().map(|e| e.to_string()),
+        attempts: outcome.attempts,
+        history: outcome.history.clone(),
+        stats: outcome.stats.clone(),
+        sim_threads: outcome.sim_threads,
+        cache: outcome.cache.as_str().to_string(),
+    };
+    if let Err(e) = sess.record(record) {
+        eprintln!("warning: failed to record cell: {e}");
+    }
+}
+
 /// The generic matrix engine: fans `workloads × schemes` out over a
-/// worker pool, isolates each cell, checkpoints completions through the
-/// global session, and returns every outcome in deterministic
-/// (workload-major, scheme-minor) order.
+/// worker pool, isolates each cell, records every outcome in the global
+/// session, and returns the outcomes in deterministic (workload-major,
+/// scheme-minor) order.
+///
+/// With a machine config and an installed session, cells are keyed by
+/// [`cell_key`] and go through the session's cell store: `body` must
+/// then compute what [`run_cell`] computes for that config.
 fn run_matrix_engine(
     workloads: &[Workload],
     schemes: &[SchemeKind],
     opts: &ExpOptions,
     body: Arc<CellBody>,
+    cfg: Option<&GpuConfig>,
 ) -> Vec<CellOutcome> {
-    let session = checkpoint::current();
-    let prefix = match &session {
-        Some(s) => lock_clean(s).next_matrix_prefix(),
-        None => "m0".to_string(),
-    };
-
     let all: Vec<(usize, Workload, SchemeKind)> = workloads
         .iter()
         .flat_map(|&w| schemes.iter().map(move |&s| (w, s)))
@@ -624,41 +646,66 @@ fn run_matrix_engine(
         .collect();
     let total = all.len();
 
-    // Resume pass: cells already completed in the checkpoint replay their
-    // recorded stats and never enter the queue.
-    let mut slots: Vec<Option<CellOutcome>> = (0..total).map(|_| None).collect();
-    let mut jobs: Vec<(usize, Workload, SchemeKind)> = Vec::with_capacity(total);
-    for &(idx, w, s) in &all {
-        let key = format!("{prefix}/{}/{}", w.name(), s.name());
-        let replay = session.as_ref().and_then(|sess| {
-            let sess = lock_clean(sess);
-            sess.resumable(&key).and_then(|r| {
-                r.stats
-                    .clone()
-                    .map(|stats| (stats, r.sim_threads, r.cache.clone()))
-            })
-        });
-        match replay {
-            Some((stats, sim_threads, cache)) => {
-                slots[idx] = Some(CellOutcome {
-                    workload: w,
-                    scheme: s,
-                    status: CellStatus::Resumed,
-                    stats: Some(stats),
-                    attempts: 0,
-                    history: vec!["resumed from checkpoint".to_string()],
-                    // Replay the provenance the original execution
-                    // recorded, not this run's request.
-                    sim_threads,
-                    cache: CacheDisposition::from_str_lossy(&cache),
-                });
-            }
-            None => jobs.push((idx, w, s)),
+    let session = checkpoint::current();
+    let (prefix, store) = match &session {
+        Some(s) => {
+            let mut s = lock_clean(s);
+            (s.next_matrix_prefix(total), s.cell_store())
         }
+        None => ("m0".to_string(), None),
+    };
+    // Unique per cell: one matrix may hold several variants of one
+    // scheme name, so the scheme column is part of the key.
+    let record_key = |idx: usize| {
+        let (_, w, s) = all[idx];
+        format!("{prefix}/{}/{}/{}", w.name(), idx % schemes.len(), s.name())
+    };
+
+    // Cell-store pass: a cell whose digest the run already holds is
+    // filled without executing. Of the cells sharing a digest inside this
+    // matrix only the first is queued; the rest copy its outcome after
+    // the join.
+    let mut slots: Vec<Option<CellOutcome>> = (0..total).map(|_| None).collect();
+    let mut keys: Vec<Option<CellKey>> = vec![None; total];
+    let mut copies: Vec<(usize, usize)> = Vec::new();
+    let mut jobs: Vec<(usize, Workload, SchemeKind)> = Vec::with_capacity(total);
+    match (&session, cfg) {
+        (Some(sess), Some(cfg)) => {
+            let mut sess = lock_clean(sess);
+            let code_version = sess.code_version();
+            let mut first: BTreeMap<String, usize> = BTreeMap::new();
+            for &(idx, w, s) in &all {
+                let key = cell_key(cfg, opts, idx, w, s, &code_version);
+                if let Some(entry) = sess.lookup(&key) {
+                    let outcome = CellOutcome {
+                        workload: w,
+                        scheme: s,
+                        status: CellStatus::Resumed,
+                        stats: Some(entry.stats),
+                        attempts: 0,
+                        history: vec![format!("reused from the cell store ({})", entry.digest)],
+                        sim_threads: entry.sim_threads,
+                        cache: CacheDisposition::Hit,
+                    };
+                    record_outcome(&mut sess, record_key(idx), &outcome);
+                    slots[idx] = Some(outcome);
+                } else {
+                    match first.entry(key.digest()) {
+                        Entry::Occupied(src) => copies.push((idx, *src.get())),
+                        Entry::Vacant(slot) => {
+                            slot.insert(idx);
+                            jobs.push((idx, w, s));
+                        }
+                    }
+                }
+                keys[idx] = Some(key);
+            }
+        }
+        _ => jobs.extend(all.iter().copied()),
     }
-    let resumed = total - jobs.len();
-    if resumed > 0 {
-        eprintln!("resume: skipping {resumed}/{total} cells already in checkpoint");
+    let skipped = total - jobs.len();
+    if opts.resume && skipped > 0 {
+        eprintln!("resume: skipping {skipped}/{total} cells already in the cell store");
     }
 
     let results: Mutex<&mut Vec<Option<CellOutcome>>> = Mutex::new(&mut slots);
@@ -667,11 +714,11 @@ fn run_matrix_engine(
     let metrics = crate::metrics::current();
     if let Some(m) = &metrics {
         m.add_planned(total as u64);
-        m.add_resumed(resumed as u64);
+        m.add_resumed(skipped as u64);
         m.set_workers(workers as u64);
     }
     let started = Instant::now();
-    let completed = AtomicUsize::new(resumed);
+    let completed = AtomicUsize::new(skipped);
     let show_progress = progress_enabled();
     // Set by a worker that hit a permanent cell failure under
     // `--fail-fast`; the remaining queue drains unexecuted.
@@ -690,7 +737,11 @@ fn run_matrix_engine(
                     m.worker_started();
                 }
                 let cell_started = Instant::now();
-                let outcome = run_one_cell(&body, idx, workload, scheme, opts);
+                let mut outcome = run_one_cell(&body, idx, workload, scheme, opts);
+                let key = keys[idx].as_ref();
+                if key.is_some() {
+                    outcome.cache = CacheDisposition::Miss;
+                }
                 // Degraded mode: a permanently failing cell is
                 // quarantined (failure recorded in checkpoint, manifest
                 // and metrics) and the sweep continues; it no longer
@@ -713,27 +764,18 @@ fn run_matrix_engine(
                         eprintln!("fail-fast: aborting sweep after {}", outcome.cell_name());
                     }
                 }
-                if let Some(sess) = &session {
-                    let record = CellRecord {
-                        key: format!("{prefix}/{}", outcome.cell_name()),
-                        status: match &outcome.status {
-                            CellStatus::Ok | CellStatus::Resumed => STATUS_OK.to_string(),
-                            CellStatus::Failed { .. } => STATUS_FAILED.to_string(),
-                            CellStatus::TimedOut { .. } => STATUS_TIMEOUT.to_string(),
-                            // Skipped cells never reach this point: they
-                            // are filled in after the scope joins.
-                            CellStatus::Skipped => unreachable!("skipped cell in worker"),
-                        },
-                        message: outcome.as_error().map(|e| e.to_string()),
-                        attempts: outcome.attempts,
-                        history: outcome.history.clone(),
-                        stats: outcome.stats.clone(),
-                        sim_threads: outcome.sim_threads,
-                        cache: outcome.cache.as_str().to_string(),
-                    };
-                    if let Err(e) = lock_clean(sess).record(record) {
-                        eprintln!("warning: failed to write checkpoint: {e}");
+                let stored = key.zip(outcome.stats.as_ref());
+                if let (Some((key, stats)), Some(store)) = (stored, &store) {
+                    if let Err(e) = store.insert(key, stats, outcome.sim_threads) {
+                        eprintln!("warning: cell store write failed: {e}");
                     }
+                }
+                if let Some(sess) = &session {
+                    let mut sess = lock_clean(sess);
+                    if let Some((key, stats)) = stored {
+                        sess.remember(key, stats, outcome.sim_threads);
+                    }
+                    record_outcome(&mut sess, record_key(idx), &outcome);
                 }
                 lock_clean(&results)[idx] = Some(outcome);
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -752,6 +794,29 @@ fn run_matrix_engine(
             });
         }
     });
+    for (idx, src) in copies {
+        let (_, w, s) = all[idx];
+        // A source skipped by a `--fail-fast` abort leaves its copies
+        // skipped too.
+        let Some(source) = &slots[src] else { continue };
+        let outcome = CellOutcome {
+            workload: w,
+            scheme: s,
+            status: match &source.status {
+                CellStatus::Ok => CellStatus::Resumed,
+                other => other.clone(),
+            },
+            stats: source.stats.clone(),
+            attempts: 0,
+            history: vec![format!("same digest as {}", record_key(src))],
+            sim_threads: source.sim_threads,
+            cache: CacheDisposition::Hit,
+        };
+        if let Some(sess) = &session {
+            record_outcome(&mut lock_clean(sess), record_key(idx), &outcome);
+        }
+        slots[idx] = Some(outcome);
+    }
     slots
         .into_iter()
         .enumerate()
@@ -759,7 +824,7 @@ fn run_matrix_engine(
             Some(o) => o,
             // A slot can only be empty after a `--fail-fast` abort
             // drained the queue without executing it; otherwise every
-            // index is either prefilled or completed by a worker.
+            // index is either prefilled, completed by a worker, or copied.
             None if opts.fail_fast => {
                 let (_, w, s) = all[idx];
                 CellOutcome {
@@ -809,17 +874,12 @@ pub fn run_cell(
             .stats
         }
         Some(fc) => {
-            // Each cell gets its own injection stream, derived from the
-            // experiment seed and the cell index so runs reproduce.
-            let seed = opts
-                .seed
-                .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             run_scheme_instrumented(
                 cfg,
                 scheme,
                 &trace,
                 &TelemetryConfig::disabled(),
-                Some(&fc.with_seed(seed)),
+                Some(&fc.with_seed(injection_seed(opts, idx))),
             )
             .stats
         }
@@ -828,6 +888,52 @@ pub fn run_cell(
         stats,
         sim_threads,
         cache: CacheDisposition::Uncached,
+    }
+}
+
+/// The injection-stream seed of fault-injection cell `idx`: each cell
+/// gets its own stream, derived from the experiment seed and the cell's
+/// index in its matrix so runs reproduce.
+fn injection_seed(opts: &ExpOptions, idx: usize) -> u64 {
+    opts.seed
+        .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// Cargo features that alter runtime behavior, for cell keys and run
+/// manifests.
+fn behavior_features() -> Vec<String> {
+    if cfg!(feature = "check-invariants") {
+        vec!["check-invariants".to_string()]
+    } else {
+        Vec::new()
+    }
+}
+
+/// The cell-store key of one standard matrix cell: everything
+/// [`run_cell`] reads. The full machine config is part of it, since
+/// sensitivity sweeps mutate the config under one name; so is the
+/// injection seed of fault-injection cells, which depends on `idx`.
+/// `sim_threads` is not: stats are bit-identical at every setting.
+pub fn cell_key(
+    cfg: &GpuConfig,
+    opts: &ExpOptions,
+    idx: usize,
+    workload: Workload,
+    scheme: SchemeKind,
+    code_version: &str,
+) -> CellKey {
+    CellKey {
+        scheme: format!("{scheme:?}"),
+        workload: workload.name().to_string(),
+        machine: format!("{cfg:?}"),
+        size: opts.size.to_string(),
+        seed: opts.seed,
+        inject: match opts.inject {
+            None => "none".to_string(),
+            Some(fc) => format!("{} seed={}", fc.canonical_spec(), injection_seed(opts, idx)),
+        },
+        features: behavior_features(),
+        code_version: code_version.to_string(),
     }
 }
 
@@ -851,20 +957,27 @@ pub fn run_matrix_cells(
     schemes: &[SchemeKind],
     opts: &ExpOptions,
 ) -> Vec<CellOutcome> {
-    run_matrix_engine(workloads, schemes, opts, standard_body(cfg, opts))
+    run_matrix_engine(
+        workloads,
+        schemes,
+        opts,
+        standard_body(cfg, opts),
+        Some(cfg),
+    )
 }
 
 /// [`run_matrix_cells`] with a caller-supplied cell body — the hook the
 /// `ccraft-serve` daemon uses to wrap [`run_cell`] with a
 /// content-addressed cache lookup while keeping the engine's worker
-/// pool, `catch_unwind` isolation, retries and checkpoint integration.
+/// pool, `catch_unwind` isolation, retries and checkpoint records. The
+/// run's cell store is not consulted: the body owns its caching.
 pub fn run_matrix_cells_with_body(
     workloads: &[Workload],
     schemes: &[SchemeKind],
     opts: &ExpOptions,
     body: Arc<CellBody>,
 ) -> Vec<CellOutcome> {
-    run_matrix_engine(workloads, schemes, opts, body)
+    run_matrix_engine(workloads, schemes, opts, body, None)
 }
 
 /// Runs every `(workload, scheme)` pair in parallel and returns the
@@ -893,14 +1006,10 @@ pub fn run_matrix(
         .collect()
 }
 
-/// Checkpoint fingerprint for one experiment invocation.
-///
-/// Covers everything that changes what a cell computes: experiment id,
-/// problem size, base seed, and the canonical `--inject` spec. A
-/// checkpoint recorded under a different fingerprint is discarded on
-/// resume (the session starts fresh), so e.g. rerunning `exp-faults
-/// --resume` with a different fault pattern or rate re-runs every cell
-/// instead of silently replaying stale results.
+/// Checkpoint fingerprint for one experiment invocation: experiment id,
+/// problem size, base seed, and the canonical `--inject` spec. It labels
+/// `checkpoint.json`; resume does not consult it, since cells are
+/// replayed by their own digests (see [`cell_key`]).
 pub fn experiment_fingerprint(id: &str, opts: &ExpOptions) -> String {
     format!(
         "{id}/{}/{}/{}",
@@ -941,11 +1050,11 @@ fn start_metrics_server() -> Option<crate::metrics::MetricsServer> {
 
 /// Standard entry point for an experiment binary: parses [`ExpOptions`]
 /// from the command line, starts the live metrics endpoint when
-/// `--metrics-addr` was given, installs a checkpoint session at
-/// `results/checkpoint.json` (resuming it under `--resume`), times
-/// `body`, and writes a `results/manifest.json` recording what produced
-/// the results directory — including a warning per failed or timed-out
-/// cell.
+/// `--metrics-addr` was given, installs a session whose cell store lives
+/// in `results/cells/` (reopened under `--resume`, emptied otherwise),
+/// times `body`, writes `results/checkpoint.json` once, and writes a
+/// `results/manifest.json` recording what produced the results
+/// directory — including a warning per failed or timed-out cell.
 ///
 /// A `body` that returns an error still gets its manifest (stamped with
 /// the failure), then the process exits with status 2.
@@ -994,12 +1103,7 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     let mut manifest = RunManifest::new(id);
     // Behavior-altering feature flags go into provenance so perf-diff can
     // refuse to compare e.g. an oracle build against a stock one.
-    if cfg!(feature = "check-invariants") {
-        manifest
-            .provenance
-            .features
-            .push("check-invariants".to_string());
-    }
+    manifest.provenance.features = behavior_features();
     manifest.size = opts.size.to_string();
     manifest.seed = opts.seed;
     manifest.threads = opts.effective_workers();
@@ -1016,7 +1120,19 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     let mut failed_cells = 0usize;
     if let Some(sess) = &session {
         let sess = lock_clean(sess);
+        // The cell keys embed this provenance's code version; the
+        // manifest records the same capture instead of probing again.
+        if let Some(p) = sess.provenance() {
+            manifest.provenance = ccraft_telemetry::manifest::Provenance {
+                features: std::mem::take(&mut manifest.provenance.features),
+                ..p.clone()
+            };
+        }
+        let executed = sess.cells().iter().filter(|c| c.attempts > 0).count();
         manifest.note("checkpoint_cells", sess.cells().len() as f64);
+        manifest.note("cells_requested", sess.requested() as f64);
+        manifest.note("cells_simulated", executed as f64);
+        manifest.note("cells_reused", (sess.cells().len() - executed) as f64);
         manifest.note(
             "cell_attempts_total",
             sess.cells().iter().map(|c| f64::from(c.attempts)).sum(),
@@ -1034,8 +1150,7 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
             });
         }
         failed_cells = sess.failed_cells();
-        // Loader warnings (quarantined corrupt checkpoint, schema
-        // mismatch) reach the manifest, not just stderr.
+        // Cell-store warnings reach the manifest, not just stderr.
         for warning in sess.warnings() {
             manifest.warn(warning.clone());
         }
@@ -1058,7 +1173,10 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
         eprintln!("error: {id}: {e}");
         manifest.warn(format!("experiment failed: {e}"));
     }
-    checkpoint::clear();
+    if let Err(e) = checkpoint::finish() {
+        eprintln!("warning: failed to write checkpoint: {e}");
+        manifest.warn(format!("failed to write checkpoint.json: {e}"));
+    }
     if let Some(server) = metrics_server {
         crate::metrics::clear();
         server.shutdown();
@@ -1263,6 +1381,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &sharded,
             standard_body(&cfg, &sharded),
+            Some(&cfg),
         );
         assert_eq!(outcomes[0].sim_threads, 2);
         assert_eq!(outcomes[0].cache, CacheDisposition::Uncached);
@@ -1277,6 +1396,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &injected,
             standard_body(&cfg, &injected),
+            Some(&cfg),
         );
         assert_eq!(
             outcomes[0].sim_threads, 1,
@@ -1303,6 +1423,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             standard_body(&cfg, &opts),
+            Some(&cfg),
         );
         checkpoint::clear();
         assert_eq!(first[0].sim_threads, 2);
@@ -1313,6 +1434,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             standard_body(&cfg, &opts),
+            Some(&cfg),
         );
         checkpoint::clear();
         assert_eq!(second[0].status, CellStatus::Resumed);
@@ -1442,6 +1564,7 @@ mod tests {
             ],
             &opts,
             body,
+            None,
         );
         assert_eq!(outcomes.len(), 4);
         let failed: Vec<_> = outcomes.iter().filter(|o| !o.status.is_ok()).collect();
@@ -1488,6 +1611,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             body,
+            None,
         );
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].status.is_ok());
@@ -1520,6 +1644,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             body,
+            None,
         );
         assert_eq!(outcomes.len(), 3);
         assert!(matches!(outcomes[2].status, CellStatus::Failed { .. }));
@@ -1557,6 +1682,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &tiny_opts(1),
             body,
+            None,
         );
         crate::metrics::clear();
         assert_eq!(outcomes.len(), 3);
@@ -1592,6 +1718,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             body,
+            None,
         );
         assert_eq!(outcomes[0].attempts, 3);
         assert_eq!(
@@ -1627,6 +1754,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             body,
+            None,
         );
         assert_eq!(outcomes.len(), 2);
         assert_eq!(
@@ -1682,12 +1810,15 @@ mod tests {
     fn checkpoint_session_records_and_resumes_cells() {
         let _guard = crate::checkpoint::test_guard();
         // First run: one cell panics, three succeed; all four land in the
-        // checkpoint. Second run with --resume: only the failed cell (and
-        // nothing else) executes.
+        // checkpoint, the three successes in the cell store. Second run
+        // with --resume: only the failed cell (and nothing else)
+        // executes. Both bodies compute what `run_cell` computes for the
+        // tiny config, so the cells are keyed by that config.
         let dir = std::env::temp_dir().join(format!("ccraft-runner-resume-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("checkpoint.json");
         let _ = std::fs::remove_file(&path);
+        let cfg = GpuConfig::tiny();
         let workloads = [Workload::VecAdd, Workload::Saxpy];
         let schemes = [
             SchemeKind::NoProtection,
@@ -1705,7 +1836,7 @@ mod tests {
             ))
         });
         checkpoint::install(checkpoint::Session::start("t", path.clone(), false));
-        let first = run_matrix_engine(&workloads, &schemes, &tiny_opts(2), panicky);
+        let first = run_matrix_engine(&workloads, &schemes, &tiny_opts(2), panicky, Some(&cfg));
         checkpoint::clear();
         assert_eq!(first.iter().filter(|o| o.status.is_ok()).count(), 3);
 
@@ -1726,7 +1857,7 @@ mod tests {
             ))
         });
         checkpoint::install(checkpoint::Session::start("t", path.clone(), true));
-        let second = run_matrix_engine(&workloads, &schemes, &tiny_opts(2), strict);
+        let second = run_matrix_engine(&workloads, &schemes, &tiny_opts(2), strict, Some(&cfg));
         checkpoint::clear();
         assert_eq!(second.len(), 4);
         assert!(second.iter().all(|o| o.status.is_ok()));
@@ -1777,6 +1908,7 @@ mod tests {
             &schemes,
             &opts_a,
             standard_body(&GpuConfig::tiny(), &opts_a),
+            Some(&GpuConfig::tiny()),
         );
         checkpoint::clear();
         assert!(first.iter().all(|o| o.status.is_ok()));
@@ -1798,7 +1930,13 @@ mod tests {
             inner(idx, workload, scheme)
         });
         checkpoint::install(checkpoint::Session::start(&fp_b, path.clone(), true));
-        let second = run_matrix_engine(&workloads, &schemes, &opts_b, tracking);
+        let second = run_matrix_engine(
+            &workloads,
+            &schemes,
+            &opts_b,
+            tracking,
+            Some(&GpuConfig::tiny()),
+        );
         checkpoint::clear();
         assert!(second.iter().all(|o| o.status.is_ok()));
         assert!(
@@ -1814,6 +1952,7 @@ mod tests {
             &schemes,
             &opts_b,
             standard_body(&GpuConfig::tiny(), &opts_b),
+            Some(&GpuConfig::tiny()),
         );
         checkpoint::clear();
         assert!(third.iter().all(|o| o.status == CellStatus::Resumed));
@@ -1879,6 +2018,7 @@ mod tests {
             &[SchemeKind::NoProtection],
             &opts,
             body,
+            None,
         );
         crate::metrics::clear();
         assert_eq!(outcomes.len(), 2);
@@ -1931,5 +2071,226 @@ mod tests {
         assert_eq!(fresh[0].stats, recorded[0].stats);
         assert_eq!(fresh[0].stats, replayed[0].stats, "replay is bit-identical");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A fresh results directory for a session-backed test.
+    fn session_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("ccraft-runner-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Reads the checkpoint a finished session wrote.
+    fn read_checkpoint(path: &std::path::Path) -> crate::checkpoint::Checkpoint {
+        let (text, verified) = crate::store::read_verified_string(path).unwrap();
+        assert!(verified);
+        serde_json::from_str(&text).unwrap()
+    }
+
+    #[test]
+    fn same_name_variants_get_unique_record_keys() {
+        let _guard = crate::checkpoint::test_guard();
+        // Two CacheCraft variants share the scheme name `cachecraft`, as
+        // the ablation's six do; each must keep its own record.
+        let dir = session_dir("variants");
+        let path = dir.join("checkpoint.json");
+        let cfg = GpuConfig::tiny();
+        let schemes = [
+            SchemeKind::CacheCraft(ccraft_core::CacheCraftConfig {
+                reconstruct: false,
+                ..ccraft_core::CacheCraftConfig::for_machine(&cfg)
+            }),
+            SchemeKind::CacheCraft(ccraft_core::CacheCraftConfig::for_machine(&cfg)),
+        ];
+        checkpoint::install(checkpoint::Session::start("v", path.clone(), false));
+        let results = run_matrix(&cfg, &[Workload::VecAdd], &schemes, &tiny_opts(2));
+        checkpoint::clear();
+        assert_eq!(results.len(), 2);
+        let cp = read_checkpoint(&path);
+        let keys: Vec<&str> = cp.cells.iter().map(|c| c.key.as_str()).collect();
+        assert_eq!(cp.cells.len(), 2, "{keys:?}");
+        assert_ne!(keys[0], keys[1]);
+        assert!(keys.iter().all(|k| k.ends_with("/cachecraft")), "{keys:?}");
+        for (col, r) in results.iter().enumerate() {
+            let rec = cp
+                .cells
+                .iter()
+                .find(|c| c.key == format!("m0/vecadd/{col}/cachecraft"))
+                .expect("one record per column");
+            assert_eq!(rec.stats.as_ref(), Some(&r.stats));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reused_cells_equal_a_fresh_run_cell() {
+        let _guard = crate::checkpoint::test_guard();
+        // The sens_ecccap shape: `no-protection` under two ECC cache
+        // capacities. The second matrix reuses the first one's
+        // `no-protection` cells; each must equal a fresh `run_cell`.
+        let dir = session_dir("reuse");
+        let cfg = GpuConfig::tiny();
+        let opts = tiny_opts(2);
+        let workloads = [Workload::VecAdd, Workload::Saxpy];
+        let matrix = |kib: u64| {
+            [
+                SchemeKind::NoProtection,
+                SchemeKind::EccCache {
+                    coverage: 8,
+                    capacity_per_mc: kib << 10,
+                },
+            ]
+        };
+        checkpoint::install(checkpoint::Session::start(
+            "r",
+            dir.join("checkpoint.json"),
+            false,
+        ));
+        let first = run_matrix_cells(&cfg, &workloads, &matrix(4), &opts);
+        let second = run_matrix_cells(&cfg, &workloads, &matrix(64), &opts);
+        checkpoint::clear();
+        assert!(first.iter().all(|o| o.status == CellStatus::Ok));
+        for (idx, o) in second.iter().enumerate() {
+            let fresh = run_cell(&cfg, &opts, idx, o.workload, o.scheme).stats;
+            assert_eq!(o.stats.as_ref(), Some(&fresh), "{}", o.cell_name());
+            if o.scheme == SchemeKind::NoProtection {
+                assert_eq!(o.status, CellStatus::Resumed, "{}", o.cell_name());
+                assert_eq!(o.cache, CacheDisposition::Hit);
+                assert_eq!(o.attempts, 0);
+            } else {
+                assert_eq!(o.status, CellStatus::Ok, "{}", o.cell_name());
+                assert_eq!(o.cache, CacheDisposition::Miss);
+            }
+        }
+        // Only distinct successful cells reach the durable layer.
+        let stored = std::fs::read_dir(dir.join(checkpoint::CELLS_DIR))
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".json"))
+            .count();
+        assert_eq!(stored, 6);
+        assert_eq!(read_checkpoint(&dir.join("checkpoint.json")).cells.len(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_digests_inside_a_matrix_simulate_once() {
+        let _guard = crate::checkpoint::test_guard();
+        let dir = session_dir("dupes");
+        let cfg = GpuConfig::tiny();
+        let opts = tiny_opts(2);
+        let executed = Arc::new(AtomicUsize::new(0));
+        let executed_in = Arc::clone(&executed);
+        let inner = standard_body(&cfg, &opts);
+        let counting: Arc<CellBody> = Arc::new(move |idx, workload, scheme| {
+            executed_in.fetch_add(1, Ordering::SeqCst);
+            inner(idx, workload, scheme)
+        });
+        let schemes = [
+            SchemeKind::NoProtection,
+            SchemeKind::InlineNaive { coverage: 8 },
+            SchemeKind::NoProtection,
+        ];
+        checkpoint::install(checkpoint::Session::start(
+            "d",
+            dir.join("checkpoint.json"),
+            false,
+        ));
+        let outcomes =
+            run_matrix_engine(&[Workload::VecAdd], &schemes, &opts, counting, Some(&cfg));
+        checkpoint::clear();
+        assert_eq!(executed.load(Ordering::SeqCst), 2);
+        assert_eq!(outcomes[2].status, CellStatus::Resumed);
+        assert_eq!(
+            outcomes[2].history,
+            vec!["same digest as m0/vecadd/0/no-protection"]
+        );
+        assert_eq!(outcomes[0].stats, outcomes[2].stats);
+        assert_eq!(read_checkpoint(&dir.join("checkpoint.json")).cells.len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn changing_any_single_key_input_never_aliases() {
+        let cfg = GpuConfig::tiny();
+        let opts = tiny_opts(1);
+        let key = |cfg: &GpuConfig, opts: &ExpOptions, idx: usize| {
+            cell_key(
+                cfg,
+                opts,
+                idx,
+                Workload::VecAdd,
+                SchemeKind::NoProtection,
+                "v",
+            )
+            .digest()
+        };
+        let base = key(&cfg, &opts, 0);
+        let mut l2 = cfg;
+        l2.l2.capacity_bytes *= 2;
+        let mut channels = cfg;
+        channels.mem.channels = 4;
+        let injected = ExpOptions {
+            inject: Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
+            ..opts
+        };
+        let other_inject = ExpOptions {
+            inject: Some(FaultConfig::parse("bit2:1.0").expect("valid spec")),
+            ..opts
+        };
+        let variants = [
+            key(&l2, &opts, 0),
+            key(&channels, &opts, 0),
+            key(&cfg, &ExpOptions { seed: 2, ..opts }, 0),
+            key(
+                &cfg,
+                &ExpOptions {
+                    size: SizeClass::Small,
+                    ..opts
+                },
+                0,
+            ),
+            key(&cfg, &injected, 0),
+            key(&cfg, &other_inject, 0),
+            // The idx-derived injection seed is part of the key ...
+            key(&cfg, &injected, 1),
+            cell_key(
+                &cfg,
+                &opts,
+                0,
+                Workload::Saxpy,
+                SchemeKind::NoProtection,
+                "v",
+            )
+            .digest(),
+            cell_key(
+                &cfg,
+                &opts,
+                0,
+                Workload::VecAdd,
+                SchemeKind::NoProtection,
+                "w",
+            )
+            .digest(),
+        ];
+        let mut all: Vec<&String> = variants.iter().collect();
+        all.push(&base);
+        let unique: std::collections::BTreeSet<&&String> = all.iter().collect();
+        assert_eq!(unique.len(), all.len(), "{all:?}");
+        // ... but without injection the cell index and the shard count
+        // do not change what a cell computes, so they must not split it.
+        assert_eq!(key(&cfg, &opts, 5), base);
+        assert_eq!(
+            key(
+                &cfg,
+                &ExpOptions {
+                    sim_threads: 4,
+                    ..opts
+                },
+                0
+            ),
+            base
+        );
     }
 }

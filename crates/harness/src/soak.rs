@@ -354,14 +354,22 @@ fn csv_names(dir: &Path) -> Result<Vec<String>, Error> {
     Ok(names)
 }
 
-/// Collects quarantine files (`*.corrupt-*`) directly inside `dir`.
+/// Collects quarantine files (`*.corrupt-*`) directly inside `dir` and
+/// inside its cell store (reported as `cells/<name>`).
 fn quarantine_names(dir: &Path) -> Vec<String> {
     let mut names = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
+    let cells = crate::checkpoint::CELLS_DIR;
+    for (sub, prefix) in [
+        (dir.to_path_buf(), String::new()),
+        (dir.join(cells), format!("{cells}/")),
+    ] {
+        let Ok(entries) = std::fs::read_dir(&sub) else {
+            continue;
+        };
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             if name.contains(".corrupt-") {
-                names.push(name);
+                names.push(format!("{prefix}{name}"));
             }
         }
     }
@@ -500,6 +508,13 @@ mod tests {
         std::fs::write(dir.join("checkpoint.json.corrupt-0"), b"junk").unwrap();
         std::fs::write(dir.join("main.csv"), b"fine").unwrap();
         assert_eq!(quarantine_names(&dir), vec!["checkpoint.json.corrupt-0"]);
+        let cells = dir.join(crate::checkpoint::CELLS_DIR);
+        std::fs::create_dir_all(&cells).unwrap();
+        std::fs::write(cells.join("ab.json.corrupt-0"), b"junk").unwrap();
+        assert_eq!(
+            quarantine_names(&dir),
+            vec!["cells/ab.json.corrupt-0", "checkpoint.json.corrupt-0"]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,9 @@
 //!   SEC-DED baselines can only detect or miss;
 //! * a panicking matrix cell is reported as a failed cell while the rest
 //!   of the matrix completes;
-//! * a checkpoint written by an interrupted run resumes through
-//!   `results/checkpoint.json` with only unfinished cells executing.
+//! * an interrupted run resumes through its cell store
+//!   (`results/cells/`) with only unfinished cells executing, and the
+//!   final `results/checkpoint.json` holds every cell.
 
 use cachecraft::harness::checkpoint::{self, Session};
 use cachecraft::harness::runner::{run_matrix, CellStatus, ExpOptions};
@@ -123,9 +124,9 @@ fn matrix_results_come_back_in_deterministic_order() {
 fn checkpoint_round_trips_across_sessions() {
     let _guard = guard();
     let dir = std::env::temp_dir().join(format!("ccraft-facade-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("checkpoint.json");
-    let _ = std::fs::remove_file(&path);
     let cfg = GpuConfig::tiny();
     let opts = ExpOptions {
         size: SizeClass::Tiny,
@@ -144,17 +145,29 @@ fn checkpoint_round_trips_across_sessions() {
     checkpoint::clear();
     assert_eq!(first.len(), 2);
 
-    // Simulate an interruption: drop one cell from the file, as if the
-    // process died before completing it. The file carries a checksum
-    // footer, so read it back through the verified store.
+    // The checkpoint, written once when the session ends, holds both
+    // cells behind a checksum footer.
     let (text, verified) = cachecraft::harness::store::read_verified_string(&path).unwrap();
     assert!(verified, "checkpoint must carry a valid checksum footer");
-    let mut cp: checkpoint::Checkpoint = serde_json::from_str(&text).unwrap();
+    let cp: checkpoint::Checkpoint = serde_json::from_str(&text).unwrap();
     assert_eq!(cp.cells.len(), 2);
-    // Rewrite it footer-less on purpose: a legacy (pre-checksum)
-    // checkpoint must still resume.
-    cp.cells.retain(|c| c.key.contains("no-protection"));
-    std::fs::write(&path, serde_json::to_string(&cp).unwrap()).unwrap();
+
+    // Simulate an interruption: drop one cell from the cell store, as if
+    // the process died before completing it. Strip the surviving entry's
+    // footer on purpose: a legacy (pre-checksum) entry must still resume.
+    let cells = dir.join(checkpoint::CELLS_DIR);
+    for entry in std::fs::read_dir(&cells).unwrap().flatten() {
+        let (text, verified) =
+            cachecraft::harness::store::read_verified_string(&entry.path()).unwrap();
+        assert!(verified, "cell entries carry a checksum footer");
+        let stored: cachecraft::harness::cellcache::CacheEntry =
+            serde_json::from_str(&text).unwrap();
+        if stored.key.scheme.contains("NoProtection") {
+            std::fs::write(entry.path(), text).unwrap();
+        } else {
+            std::fs::remove_file(entry.path()).unwrap();
+        }
+    }
 
     // Run 2 resumes: the surviving cell replays, the dropped one re-runs,
     // and results are bit-identical to the uninterrupted run.
@@ -167,12 +180,11 @@ fn checkpoint_round_trips_across_sessions() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(Some(&a.stats), b.stats.as_ref(), "resume is bit-identical");
     }
-    // The repaired checkpoint again holds both cells (and is re-written
-    // with a footer by the session's durable save).
+    // The new checkpoint again holds both cells, behind a footer.
     let (text, verified) = cachecraft::harness::store::read_verified_string(&path).unwrap();
     assert!(verified);
     let cp: checkpoint::Checkpoint = serde_json::from_str(&text).unwrap();
     assert_eq!(cp.cells.len(), 2);
     assert!(cp.cells.iter().all(|c| c.is_ok()));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
