@@ -38,11 +38,6 @@ impl InlineMap {
         &self.layout
     }
 
-    /// Number of memory channels the map stripes across.
-    pub fn channels(&self) -> u16 {
-        self.interleave.channels()
-    }
-
     /// Maps a software-visible atom to its physical location.
     pub fn map(&self, logical: LogicalAtom) -> PhysLoc {
         let (channel, local) = self.interleave.split(logical);
@@ -65,17 +60,13 @@ impl InlineMap {
 /// repurposed-L2 fragment store): set-associative at ECC-atom granularity,
 /// with in-flight-fetch merging and a dirty-eviction write queue.
 ///
-/// Internally one independent [`ChannelStore`] per channel; sharded
-/// execution detaches those channel stores so each shard worker can own
-/// its channel's ECC state (see
-/// [`ProtectionScheme::detach_channels`](ccraft_sim::protection::ProtectionScheme::detach_channels)).
+/// Internally one independent [`ChannelStore`] per channel.
 #[derive(Debug)]
 pub struct EccStore {
     channels: Vec<ChannelStore>,
 }
 
-/// One channel's slice of an on-chip ECC store. All state is channel-local,
-/// so a detached `ChannelStore` ticks without synchronization.
+/// One channel's slice of an on-chip ECC store. All state is channel-local.
 #[derive(Debug)]
 pub struct ChannelStore {
     cache: SectorCache,
@@ -247,19 +238,6 @@ impl EccStore {
     /// drained (diagnostics).
     pub fn pending_write_count(&self) -> usize {
         self.channels.iter().map(|c| c.pending_write_count()).sum()
-    }
-
-    /// Moves the per-channel stores out for shard ownership; the store is
-    /// empty (and must not be queried) until [`attach`](Self::attach).
-    pub fn detach(&mut self) -> Vec<ChannelStore> {
-        std::mem::take(&mut self.channels)
-    }
-
-    /// Restores channel stores previously produced by
-    /// [`detach`](Self::detach), in channel order.
-    pub fn attach(&mut self, channels: Vec<ChannelStore>) {
-        debug_assert!(self.channels.is_empty(), "attach over live channels");
-        self.channels = channels;
     }
 }
 

@@ -18,12 +18,6 @@
 //! sit an in-memory index of known digests and a bloom-style negative
 //! filter, so the common cold-miss path costs two hash probes, not a
 //! filesystem round trip.
-//!
-//! `sim_threads` is deliberately NOT part of the key: sharded execution
-//! is bit-identical to sequential execution at every setting (pinned by
-//! `thread_count_does_not_change_stats`), so a result computed at
-//! `--sim-threads 4` is valid for a request at 1. The entry records the
-//! producer's value for provenance only.
 
 use crate::error::Error;
 use crate::store;
@@ -127,9 +121,21 @@ pub struct CacheEntry {
     pub key: CellKey,
     /// The simulated result.
     pub stats: SimStats,
-    /// `sim_threads` the producer ran with (provenance only — results
-    /// are bit-identical across settings, so this is not part of the key).
+    /// Provenance from when the cycle loop could run sharded: always 1
+    /// for new entries, kept so existing readers still compile.
     pub sim_threads: u32,
+}
+
+impl CacheEntry {
+    /// The entry for a freshly simulated cell.
+    pub fn new(key: &CellKey, stats: &SimStats) -> Self {
+        CacheEntry {
+            digest: key.digest(),
+            key: key.clone(),
+            stats: stats.clone(),
+            sim_threads: 1,
+        }
+    }
 }
 
 /// Counters describing cache behavior, snapshot via
@@ -302,24 +308,23 @@ impl ResultCache {
         }
     }
 
-    /// Inserts a freshly computed result under `key`.
+    /// Inserts a freshly computed result under `key`. `sim_threads` is
+    /// recorded as [`CacheEntry::sim_threads`]; callers pass 1.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] when the durable write fails; the index is
     /// only updated on success.
     pub fn insert(&self, key: &CellKey, stats: &SimStats, sim_threads: u32) -> Result<(), Error> {
-        let digest = key.digest();
         let entry = CacheEntry {
-            digest: digest.clone(),
-            key: key.clone(),
-            stats: stats.clone(),
             sim_threads,
+            ..CacheEntry::new(key, stats)
         };
+        let digest = &entry.digest;
         let text = serde_json::to_string_pretty(&entry)
             .map_err(|e| Error::Config(format!("serializing cache entry {digest}: {e}")))?;
-        store::write_durable(&self.entry_path(&digest), text.as_bytes())?;
-        self.remember(&digest);
+        store::write_durable(&self.entry_path(digest), text.as_bytes())?;
+        self.remember(digest);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -474,10 +479,9 @@ mod tests {
         let key = sample_key();
         assert!(cache.lookup(&key).is_none(), "cold cache misses");
         let stats = sample_stats();
-        cache.insert(&key, &stats, 4).expect("insert");
+        cache.insert(&key, &stats, 1).expect("insert");
         let entry = cache.lookup(&key).expect("hit after insert");
         assert_eq!(entry.stats, stats);
-        assert_eq!(entry.sim_threads, 4);
         assert_eq!(entry.key, key);
         // A different seed is a different cell: still a miss.
         let other = CellKey {

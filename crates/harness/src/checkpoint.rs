@@ -72,23 +72,10 @@ pub struct CellRecord {
     /// The cell's results, for successful cells.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<SimStats>,
-    /// Threads the cell's cycle loop was *actually* sharded across.
-    /// Telemetry/fault-injection cells fall back to 1 regardless of the
-    /// requested `--sim-threads`; reused cells carry the value recorded
-    /// when the result was produced, so manifests stay truthful across a
-    /// resume. Checkpoints from before this field existed read back as 1.
-    #[serde(default = "default_cell_sim_threads")]
-    pub sim_threads: u32,
     /// Cell-store disposition (`"hit"` / `"miss"` / `"uncached"`);
     /// empty in checkpoints from before the cache existed.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub cache: String,
-}
-
-/// Serde default: checkpoints from before sharded execution ran every
-/// cell single-threaded.
-fn default_cell_sim_threads() -> u32 {
-    1
 }
 
 impl CellRecord {
@@ -211,17 +198,8 @@ impl Session {
     /// Memoizes a freshly simulated cell for the rest of the run. The
     /// durable write goes through [`Session::cell_store`], outside the
     /// session lock.
-    pub fn remember(&mut self, key: &CellKey, stats: &SimStats, sim_threads: u32) {
-        let digest = key.digest();
-        self.memo.insert(
-            digest.clone(),
-            CacheEntry {
-                digest,
-                key: key.clone(),
-                stats: stats.clone(),
-                sim_threads,
-            },
-        );
+    pub fn remember(&mut self, key: &CellKey, stats: &SimStats) {
+        self.memo.insert(key.digest(), CacheEntry::new(key, stats));
     }
 
     /// The durable layer, shared with the matrix workers.
@@ -371,7 +349,6 @@ mod tests {
             attempts: 1,
             history: vec!["attempt 1: ok".to_string()],
             stats: Some(sample_stats()),
-            sim_threads: 1,
             cache: String::new(),
         }
     }
@@ -438,7 +415,6 @@ mod tests {
                 "attempt 2: failed: boom".to_string(),
             ],
             stats: None,
-            sim_threads: 1,
             cache: String::new(),
         })
         .unwrap();
@@ -468,7 +444,7 @@ mod tests {
         let s = Session::start("f", path.clone(), false);
         let store = s.cell_store().expect("cell store opens");
         assert_eq!(store.dir(), path.with_file_name(CELLS_DIR));
-        store.insert(&sample_key(1), &sample_stats(), 2).unwrap();
+        store.insert(&sample_key(1), &sample_stats(), 1).unwrap();
         drop(s);
 
         let mut resumed = Session::start("f", path.clone(), true);
@@ -476,7 +452,6 @@ mod tests {
             .lookup(&sample_key(1))
             .expect("resume sees the entry");
         assert_eq!(hit.stats, sample_stats());
-        assert_eq!(hit.sim_threads, 2);
         assert!(resumed.lookup(&sample_key(2)).is_none());
 
         let mut fresh = Session::start("f", path, false);
@@ -489,10 +464,9 @@ mod tests {
         let path = tmpdir("memo").join("checkpoint.json");
         let mut s = Session::start("f", path, false);
         assert!(s.lookup(&sample_key(1)).is_none());
-        s.remember(&sample_key(1), &sample_stats(), 3);
+        s.remember(&sample_key(1), &sample_stats());
         let hit = s.lookup(&sample_key(1)).expect("memo hit");
         assert_eq!(hit.stats, sample_stats());
-        assert_eq!(hit.sim_threads, 3);
         // The memo alone: nothing was written durably.
         assert!(s.cell_store().unwrap().is_empty());
         assert!(s.lookup(&sample_key(2)).is_none());
@@ -509,7 +483,6 @@ mod tests {
             attempts: 1,
             history: Vec::new(),
             stats: None,
-            sim_threads: 1,
             cache: String::new(),
         })
         .unwrap();

@@ -17,7 +17,7 @@
 use crate::cellcache::CellKey;
 use crate::checkpoint::{self, CellRecord, STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT};
 use crate::error::Error;
-use ccraft_core::factory::{run_scheme_exec, run_scheme_instrumented, SchemeKind};
+use ccraft_core::factory::{run_scheme_instrumented, SchemeKind};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_sim::stats::SimStats;
@@ -38,11 +38,6 @@ common experiment options:
   --size tiny|small|full   workload size class (default: small)
   --seed N                 trace-generation seed (default: 1)
   --threads N              worker threads, 0 = number of CPUs (default: 0)
-  --sim-threads N          shard each simulation's cycle loop across N
-                           threads by memory channel (default: 1); stats
-                           are bit-identical at every setting, and the
-                           worker pool shrinks so that
-                           workers x sim-threads stays within the budget
   --inject <pat>:<rate>    in-situ DRAM fault injection, e.g. symbol:1e-6
                            or bit2:fit=5000@24 (pattern bit1|bit2|bit3|
                            burst4|symbol|chiplane; rate per access or
@@ -60,7 +55,7 @@ common experiment options:
 
 Unrecognized flags are passed through so each binary can define its own,
 but they are reported (stderr + manifest warnings) so a typo like
---sim-thread is never silently ignored.";
+--retry is never silently ignored.";
 
 /// Flags parsed outside [`ExpOptions`] that are still legitimate on
 /// harness binaries: `--metrics-addr` is consumed by
@@ -88,10 +83,6 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Worker threads (0 = number of CPUs).
     pub threads: usize,
-    /// Threads each simulation's cycle loop is sharded across (1 = the
-    /// plain single-threaded loop). Purely an execution strategy: stats
-    /// stay bit-identical at every setting.
-    pub sim_threads: u32,
     /// In-situ fault injection, when configured (`--inject`).
     pub inject: Option<FaultConfig>,
     /// Reopen `results/cells/` and reuse the cells stored there instead
@@ -112,7 +103,6 @@ impl Default for ExpOptions {
             size: SizeClass::Small,
             seed: 1,
             threads: 0,
-            sim_threads: 1,
             inject: None,
             resume: false,
             cell_timeout_secs: None,
@@ -140,7 +130,7 @@ impl ExpOptions {
     /// parser did not recognize (excluding [`EXTRA_HARNESS_FLAGS`], which
     /// other harness layers consume). Values of unknown flags are not
     /// reported — only the flags themselves — so a typo like
-    /// `--sim-thread 4` surfaces as `--sim-thread`.
+    /// `--retry 4` surfaces as `--retry`.
     ///
     /// # Errors
     ///
@@ -172,14 +162,6 @@ impl ExpOptions {
                 "--threads" => {
                     i += 1;
                     opts.threads = parse_value(args, i, "--threads", "an integer")?;
-                }
-                "--sim-threads" => {
-                    i += 1;
-                    let n: u32 = parse_value(args, i, "--sim-threads", "an integer")?;
-                    if n == 0 {
-                        return Err(Error::config("--sim-threads must be at least 1"));
-                    }
-                    opts.sim_threads = n;
                 }
                 "--inject" => {
                     i += 1;
@@ -242,34 +224,11 @@ impl ExpOptions {
         }
     }
 
-    /// Effective per-simulation shard count (floor 1). This is the
-    /// *requested* value; see [`ExpOptions::effective_cell_sim_threads`]
-    /// for what a standard simulation cell actually runs with.
-    pub fn effective_sim_threads(&self) -> u32 {
-        self.sim_threads.max(1)
-    }
-
-    /// Shard count a standard simulation cell *actually* runs with:
-    /// fault-injection cells always take the single-threaded
-    /// instrumented loop, regardless of `--sim-threads`. Manifests
-    /// record this truthful per-cell value, not the request.
-    pub fn effective_cell_sim_threads(&self) -> u32 {
-        if self.inject.is_some() {
-            1
-        } else {
-            self.effective_sim_threads()
-        }
-    }
-
     /// Worker count the matrix engine actually spawns: the effective
-    /// thread count clamped to `[1, 64]`, then shrunk so the total
-    /// `workers x sim_threads` footprint stays within the same budget —
-    /// sharded cells each occupy `sim_threads` CPUs, so the pool narrows
-    /// rather than oversubscribing. This — not the raw request — is what
-    /// run manifests record.
+    /// thread count clamped to `[1, 64]`. This — not the raw request — is
+    /// what run manifests record.
     pub fn effective_workers(&self) -> usize {
-        let budget = self.effective_threads().clamp(1, 64);
-        (budget / self.effective_sim_threads() as usize).max(1)
+        self.effective_threads().clamp(1, 64)
     }
 
     /// Canonical inject spec for checkpoint fingerprints (`"none"` when
@@ -422,24 +381,20 @@ impl CacheDisposition {
 }
 
 /// What one executed cell produced: the simulation results plus the
-/// truthful execution provenance the manifest records per cell.
+/// result-cache disposition the manifest records per cell.
 #[derive(Debug, Clone)]
 pub struct CellRun {
     /// Simulation results.
     pub stats: SimStats,
-    /// Threads the cell's cycle loop was *actually* sharded across
-    /// (1 for fault-injection/telemetry fallbacks, whatever the request).
-    pub sim_threads: u32,
     /// Result-cache disposition.
     pub cache: CacheDisposition,
 }
 
 impl CellRun {
-    /// Wraps raw stats as a plain uncached, single-threaded execution.
+    /// Wraps raw stats as a plain uncached execution.
     pub fn plain(stats: SimStats) -> Self {
         CellRun {
             stats,
-            sim_threads: 1,
             cache: CacheDisposition::Uncached,
         }
     }
@@ -461,9 +416,6 @@ pub struct CellOutcome {
     /// Per-attempt outcome log (`"attempt 1: failed: <msg>"`, ...),
     /// persisted into the checkpoint record for post-mortems.
     pub history: Vec<String>,
-    /// Effective per-cell shard count (for reused cells, the value the
-    /// original execution recorded).
-    pub sim_threads: u32,
     /// Result-cache disposition of the cell's stats.
     pub cache: CacheDisposition,
 }
@@ -490,8 +442,8 @@ impl CellOutcome {
     }
 }
 
-/// The simulation body of one cell: returns the stats plus the truthful
-/// execution provenance ([`CellRun`]). Must be `'static` so a
+/// The simulation body of one cell: returns the stats plus their cache
+/// disposition ([`CellRun`]). Must be `'static` so a
 /// watchdogged cell can run on its own abandonable thread.
 pub type CellBody = dyn Fn(usize, Workload, SchemeKind) -> CellRun + Send + Sync;
 
@@ -562,7 +514,6 @@ fn run_one_cell(
                     stats: Some(run.stats),
                     attempts,
                     history,
-                    sim_threads: run.sim_threads,
                     cache: run.cache,
                 };
             }
@@ -583,10 +534,6 @@ fn run_one_cell(
                         stats: None,
                         attempts,
                         history,
-                        // The cell never completed; record the shard
-                        // count it was *going to* run with so degraded
-                        // manifests stay self-consistent.
-                        sim_threads: opts.effective_cell_sim_threads(),
                         cache: CacheDisposition::Uncached,
                     };
                 }
@@ -615,7 +562,6 @@ fn record_outcome(sess: &mut checkpoint::Session, key: String, outcome: &CellOut
         attempts: outcome.attempts,
         history: outcome.history.clone(),
         stats: outcome.stats.clone(),
-        sim_threads: outcome.sim_threads,
         cache: outcome.cache.as_str().to_string(),
     };
     if let Err(e) = sess.record(record) {
@@ -684,7 +630,6 @@ fn run_matrix_engine(
                         stats: Some(entry.stats),
                         attempts: 0,
                         history: vec![format!("reused from the cell store ({})", entry.digest)],
-                        sim_threads: entry.sim_threads,
                         cache: CacheDisposition::Hit,
                     };
                     record_outcome(&mut sess, record_key(idx), &outcome);
@@ -766,14 +711,14 @@ fn run_matrix_engine(
                 }
                 let stored = key.zip(outcome.stats.as_ref());
                 if let (Some((key, stats)), Some(store)) = (stored, &store) {
-                    if let Err(e) = store.insert(key, stats, outcome.sim_threads) {
+                    if let Err(e) = store.insert(key, stats, 1) {
                         eprintln!("warning: cell store write failed: {e}");
                     }
                 }
                 if let Some(sess) = &session {
                     let mut sess = lock_clean(sess);
                     if let Some((key, stats)) = stored {
-                        sess.remember(key, stats, outcome.sim_threads);
+                        sess.remember(key, stats);
                     }
                     record_outcome(&mut sess, record_key(idx), &outcome);
                 }
@@ -809,7 +754,6 @@ fn run_matrix_engine(
             stats: source.stats.clone(),
             attempts: 0,
             history: vec![format!("same digest as {}", record_key(src))],
-            sim_threads: source.sim_threads,
             cache: CacheDisposition::Hit,
         };
         if let Some(sess) = &session {
@@ -834,7 +778,6 @@ fn run_matrix_engine(
                     stats: None,
                     attempts: 0,
                     history: vec!["skipped: --fail-fast abort".to_string()],
-                    sim_threads: opts.effective_cell_sim_threads(),
                     cache: CacheDisposition::Uncached,
                 }
             }
@@ -845,9 +788,6 @@ fn run_matrix_engine(
 
 /// Runs one standard simulation cell: generate the workload trace, run
 /// the scheme, with per-cell-seeded fault injection when configured.
-/// Returns the stats along with the truthful execution provenance —
-/// fault-injection cells take the single-threaded instrumented loop, so
-/// their [`CellRun::sim_threads`] is 1 whatever `--sim-threads` asked.
 pub fn run_cell(
     cfg: &GpuConfig,
     opts: &ExpOptions,
@@ -856,39 +796,19 @@ pub fn run_cell(
     scheme: SchemeKind,
 ) -> CellRun {
     let trace = workload.generate(opts.size, opts.seed);
-    let sim_threads = opts.effective_cell_sim_threads();
-    let stats = match opts.inject {
-        // Sharded execution is bit-identical, so the exec-aware entry
-        // point is safe for every cell; with `--sim-threads 1` it is
-        // the plain loop.
-        None => {
-            run_scheme_exec(
-                cfg,
-                scheme,
-                &trace,
-                &TelemetryConfig::disabled(),
-                None,
-                false,
-                &ccraft_sim::ExecConfig { sim_threads },
-            )
-            .stats
-        }
-        Some(fc) => {
-            run_scheme_instrumented(
-                cfg,
-                scheme,
-                &trace,
-                &TelemetryConfig::disabled(),
-                Some(&fc.with_seed(injection_seed(opts, idx))),
-            )
-            .stats
-        }
-    };
-    CellRun {
-        stats,
-        sim_threads,
-        cache: CacheDisposition::Uncached,
-    }
+    let faults = opts
+        .inject
+        .map(|fc| fc.with_seed(injection_seed(opts, idx)));
+    CellRun::plain(
+        run_scheme_instrumented(
+            cfg,
+            scheme,
+            &trace,
+            &TelemetryConfig::disabled(),
+            faults.as_ref(),
+        )
+        .stats,
+    )
 }
 
 /// The injection-stream seed of fault-injection cell `idx`: each cell
@@ -913,7 +833,6 @@ fn behavior_features() -> Vec<String> {
 /// [`run_cell`] reads. The full machine config is part of it, since
 /// sensitivity sweeps mutate the config under one name; so is the
 /// injection seed of fault-injection cells, which depends on `idx`.
-/// `sim_threads` is not: stats are bit-identical at every setting.
 pub fn cell_key(
     cfg: &GpuConfig,
     opts: &ExpOptions,
@@ -1107,13 +1026,9 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     manifest.size = opts.size.to_string();
     manifest.seed = opts.seed;
     manifest.threads = opts.effective_workers();
-    // The global field records the *requested* shard count; the per-cell
-    // records below carry the effective values (fault-injection cells
-    // fall back to 1), which is what perf-diff's guard reads.
-    manifest.sim_threads = opts.effective_sim_threads();
     manifest.wall_time_secs = started.elapsed().as_secs_f64();
     // Unrecognized flags are non-fatal but must not vanish: a typo like
-    // `--sim-thread 4` would otherwise silently change what ran.
+    // `--retry 4` would otherwise be dropped without a trace.
     for flag in &unknown_flags {
         manifest.warn(format!("unrecognized flag: {flag}"));
     }
@@ -1140,7 +1055,6 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
         for cell in sess.cells() {
             manifest.record_cell(ccraft_telemetry::manifest::CellManifest {
                 cell: cell.key.clone(),
-                sim_threads: cell.sim_threads,
                 cache: if cell.cache.is_empty() {
                     CacheDisposition::Uncached.as_str().to_string()
                 } else {
@@ -1325,13 +1239,12 @@ mod tests {
 
     #[test]
     fn parse_with_unknown_reports_typos_but_not_harness_flags() {
-        // A typo like --sim-thread must be surfaced, not swallowed.
-        let (o, unknown) =
-            ExpOptions::parse_with_unknown(&argv(&["--sim-thread", "4", "--seed", "2"]))
-                .expect("unknown flags never fail the parse");
+        // A typo like --retry must be surfaced, not swallowed.
+        let (o, unknown) = ExpOptions::parse_with_unknown(&argv(&["--retry", "4", "--seed", "2"]))
+            .expect("unknown flags never fail the parse");
         assert_eq!(o.seed, 2);
-        assert_eq!(o.sim_threads, 1, "the typo must not set sim_threads");
-        assert_eq!(unknown, vec!["--sim-thread".to_string()]);
+        assert_eq!(o.retries, 0, "the typo must not set retries");
+        assert_eq!(unknown, vec!["--retry".to_string()]);
         // Flags the harness itself consumes (or hands to specific
         // binaries) are allowlisted, not reported.
         let (_, unknown) = ExpOptions::parse_with_unknown(&argv(&[
@@ -1349,62 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_cell_sim_threads_falls_back_under_injection() {
-        let sharded = ExpOptions {
-            sim_threads: 4,
-            ..tiny_opts(1)
-        };
-        assert_eq!(sharded.effective_cell_sim_threads(), 4);
-        let injected = ExpOptions {
-            sim_threads: 4,
-            inject: Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
-            ..tiny_opts(1)
-        };
-        assert_eq!(
-            injected.effective_cell_sim_threads(),
-            1,
-            "fault injection forces single-threaded simulation"
-        );
-    }
-
-    #[test]
-    fn outcomes_carry_effective_sim_threads_and_cache_disposition() {
-        let _guard = crate::checkpoint::test_guard();
-        let cfg = GpuConfig::tiny();
-        // Sharded run: cells report the requested shard count.
-        let sharded = ExpOptions {
-            sim_threads: 2,
-            ..tiny_opts(1)
-        };
-        let outcomes = run_matrix_engine(
-            &[Workload::VecAdd],
-            &[SchemeKind::NoProtection],
-            &sharded,
-            standard_body(&cfg, &sharded),
-            Some(&cfg),
-        );
-        assert_eq!(outcomes[0].sim_threads, 2);
-        assert_eq!(outcomes[0].cache, CacheDisposition::Uncached);
-        // Injected run: the per-cell truth is 1 even though 2 was asked.
-        let injected = ExpOptions {
-            sim_threads: 2,
-            inject: Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
-            ..tiny_opts(1)
-        };
-        let outcomes = run_matrix_engine(
-            &[Workload::VecAdd],
-            &[SchemeKind::NoProtection],
-            &injected,
-            standard_body(&cfg, &injected),
-            Some(&cfg),
-        );
-        assert_eq!(
-            outcomes[0].sim_threads, 1,
-            "injection cells record the effective value, not the request"
-        );
-    }
-
-    #[test]
     fn resume_replays_recorded_cell_provenance() {
         let _guard = crate::checkpoint::test_guard();
         let dir =
@@ -1413,10 +1270,7 @@ mod tests {
         let path = dir.join("checkpoint.json");
         let _ = std::fs::remove_file(&path);
         let cfg = GpuConfig::tiny();
-        let opts = ExpOptions {
-            sim_threads: 2,
-            ..tiny_opts(1)
-        };
+        let opts = tiny_opts(1);
         checkpoint::install(checkpoint::Session::start("p", path.clone(), false));
         let first = run_matrix_engine(
             &[Workload::VecAdd],
@@ -1426,7 +1280,7 @@ mod tests {
             Some(&cfg),
         );
         checkpoint::clear();
-        assert_eq!(first[0].sim_threads, 2);
+        assert_eq!(first[0].cache, CacheDisposition::Miss);
 
         checkpoint::install(checkpoint::Session::start("p", path.clone(), true));
         let second = run_matrix_engine(
@@ -1438,10 +1292,8 @@ mod tests {
         );
         checkpoint::clear();
         assert_eq!(second[0].status, CellStatus::Resumed);
-        assert_eq!(
-            second[0].sim_threads, 2,
-            "resume must replay the provenance recorded at execution time"
-        );
+        assert_eq!(second[0].cache, CacheDisposition::Hit);
+        assert_eq!(second[0].stats, first[0].stats);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2278,19 +2130,8 @@ mod tests {
         all.push(&base);
         let unique: std::collections::BTreeSet<&&String> = all.iter().collect();
         assert_eq!(unique.len(), all.len(), "{all:?}");
-        // ... but without injection the cell index and the shard count
-        // do not change what a cell computes, so they must not split it.
+        // ... but without injection the cell index does not change what
+        // a cell computes, so it must not split it.
         assert_eq!(key(&cfg, &opts, 5), base);
-        assert_eq!(
-            key(
-                &cfg,
-                &ExpOptions {
-                    sim_threads: 4,
-                    ..opts
-                },
-                0
-            ),
-            base
-        );
     }
 }

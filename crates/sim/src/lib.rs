@@ -69,7 +69,6 @@ pub mod l2;
 pub mod mem_ctrl;
 pub mod msg;
 pub mod protection;
-mod shard;
 pub mod sm;
 pub mod stats;
 pub mod trace;
@@ -79,8 +78,7 @@ pub mod xbar;
 pub use config::GpuConfig;
 pub use faults::{FaultConfig, FaultInjector, FaultRate, FaultStats, ProtectionCodec};
 pub use gpu::{
-    simulate, simulate_instrumented, simulate_profiled, simulate_with_exec,
-    simulate_with_telemetry, ExecConfig, SimOutput,
+    simulate, simulate_instrumented, simulate_profiled, simulate_with_telemetry, SimOutput,
 };
 pub use stats::SimStats;
 pub use types::{Cycle, LogicalAtom, PhysLoc, TrafficClass};

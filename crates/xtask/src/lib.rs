@@ -5,8 +5,8 @@
 //! golden-regression corpus and the threads-1-vs-8 determinism test), so
 //! the simulator crates must not depend on randomized hash iteration
 //! order, wall-clock time, ambient randomness, or float accumulation —
-//! and the crash-resilience story rests on panic-free cycle loops,
-//! disciplined atomics, and never-discarded persistence `Result`s.
+//! and the crash-resilience story rests on panic-free cycle loops and
+//! never-discarded persistence `Result`s.
 //! Clippy cannot express those rules; this tool lexes the workspace with
 //! a small hand-rolled lexer (the build is offline, so `syn` is not
 //! available — see `vendor/README.md`), layers a brace-aware scope map
@@ -125,8 +125,8 @@ fn load_workspace(root: &Path) -> Result<WorkspaceFiles, String> {
 }
 
 /// Runs the full analysis suite — the flat token rules plus the
-/// function-scoped families (panic-freedom, atomic-discipline,
-/// fallible-result) — on the workspace rooted at `root`.
+/// function-scoped families (panic-freedom, fallible-result) — on the
+/// workspace rooted at `root`.
 pub fn analyze_workspace(root: &Path) -> Result<LintReport, String> {
     let ws = load_workspace(root)?;
 

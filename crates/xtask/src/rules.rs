@@ -21,15 +21,14 @@
 //!   `tick`, and vice versa, so new components cannot silently opt out of
 //!   (or lie to) the fast-forward machinery. `next_event` must be a
 //!   side-effect-free `&self` probe returning `Option<Cycle>`.
-//! * `shard-shared-state` (L5) — in `sim`, no `static` items and no
+//! * `sim-shared-state` (L5) — in `sim`, no `static` items and no
 //!   shared-mutability primitives (`lazy_static`, `thread_local`,
 //!   `OnceLock`/`OnceCell`/`LazyLock`, `Mutex`/`RwLock`, `RefCell`,
-//!   `Rc`/`Arc`). The channel-sharded engine replays bit-identically only
-//!   because every piece of mutable state has exactly one owner per
-//!   epoch; process-global or reference-counted state would leak across
-//!   shard boundaries invisibly. Scoped `Atomic*` values are exempt —
-//!   they are the blessed cross-lane signalling primitive, always owned
-//!   by one `run_prologue` call and dropped with it.
+//!   `Rc`/`Arc`, `Atomic*`). The experiment runner simulates many cells
+//!   concurrently in one process, and each cell replays bit-identically
+//!   only because all of its mutable state is owned by that one
+//!   simulation; process-global or shared state would leak between
+//!   concurrent cells invisibly.
 //!
 //! Violations can be waived with `// lint: allow(<rule>) reason=<text>` on
 //! or immediately above the offending line; every directive must justify
@@ -39,16 +38,15 @@
 use crate::lexer::{Directive, Lexed, TokKind, Token};
 
 /// Canonical rule names, as used in `allow(...)` directives. The first
-/// five are the flat token rules of this module; the last three are the
+/// five are the flat token rules of this module; the last two are the
 /// function-scoped analysis rules of [`crate::analyze`].
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "default-hash-state",
     "wall-clock",
     "float-stats",
     "next-event-pairing",
-    "shard-shared-state",
+    "sim-shared-state",
     "panic-freedom",
-    "atomic-discipline",
     "fallible-result",
 ];
 
@@ -66,12 +64,10 @@ pub struct Scope {
     /// L4: next_event/tick pairing (sim only).
     pub pairing: bool,
     /// L5: static items / shared-mutability primitives ban (sim only).
-    pub shard_state: bool,
+    pub sim_state: bool,
     /// A1: panic vectors in the cycle-loop call graph (sim, minus the
     /// invariants module whose whole purpose is to panic).
     pub panic_freedom: bool,
-    /// A2: explicit/paired atomic orderings (sim only).
-    pub atomic_discipline: bool,
     /// A3: no discarded persistence `Result`s (harness + serve).
     pub fallible_result: bool,
 }
@@ -101,11 +97,10 @@ pub fn scope_for(rel: &str) -> Scope {
         float_fields: rel == SIMSTATS_PATH,
         float_accum: in_any(&["crates/sim/src/", "crates/core/src/"]),
         pairing: in_sim,
-        shard_state: in_sim,
+        sim_state: in_sim,
         // invariants.rs exists to panic on contract breaches; exempting
         // it keeps the rule about *accidental* panic vectors.
         panic_freedom: in_sim && rel != "crates/sim/src/invariants.rs",
-        atomic_discipline: in_sim,
         fallible_result: host_side,
     }
 }
@@ -307,8 +302,8 @@ pub(crate) fn collect_raw(
     if scope.pairing {
         rule_next_event_pairing(rel, lexed, &mut raw);
     }
-    if scope.shard_state {
-        rule_shard_shared_state(rel, lexed, &mut raw);
+    if scope.sim_state {
+        rule_sim_shared_state(rel, lexed, &mut raw);
     }
     raw
 }
@@ -514,16 +509,15 @@ fn rule_wall_clock(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
 
 /// L5: `static` items and shared-mutability primitives in `sim`.
 ///
-/// The sharded engine's bit-identity proof rests on single ownership:
-/// every mutable object belongs to exactly one lane (or the driver)
-/// between barriers. A `static`, a `lazy_static!`/`thread_local!` cell,
-/// a `OnceLock`/`OnceCell`/`LazyLock`, a lock (`Mutex`/`RwLock`), interior
-/// mutability (`RefCell`) or shared ownership (`Rc`/`Arc`) all create
-/// state whose visibility is scheduler-dependent, which this lint makes
-/// impossible to introduce silently. `Atomic*` is deliberately *not*
-/// flagged: scoped atomics owned by one `run_prologue` call are the
-/// sanctioned cross-lane signalling mechanism.
-fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
+/// The runner simulates many cells at once on scoped threads, and each
+/// cell is bit-identical to a serial run only because every mutable
+/// object belongs to exactly one simulation. A `static`, a
+/// `lazy_static!`/`thread_local!` cell, a `OnceLock`/`OnceCell`/`LazyLock`,
+/// a lock (`Mutex`/`RwLock`), interior mutability (`RefCell`), shared
+/// ownership (`Rc`/`Arc`) or an atomic (`Atomic*`) all create state whose
+/// visibility is scheduler-dependent, which this lint makes impossible to
+/// introduce silently.
+fn rule_sim_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
     let t = &lexed.tokens;
     for i in 0..t.len() {
         let TokKind::Ident(name) = &t[i].kind else {
@@ -546,37 +540,40 @@ fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
                     continue;
                 }
                 "`static` item in simulator code — process-global state outlives the \
-                 simulation and is visible across shard lanes; thread it through the \
+                 simulation and is visible to concurrent cells; thread it through the \
                  owning component instead"
                     .to_string()
             }
             "lazy_static" | "thread_local" => format!(
                 "`{name}!` in simulator code — lazily initialized global state breaks \
-                 the one-owner-per-epoch model the sharded engine's bit-identity \
+                 the one-owner-per-simulation model concurrent cells' bit-identity \
                  depends on"
             ),
             "OnceLock" | "OnceCell" | "LazyLock" => format!(
                 "`{name}` in simulator code — write-once global cells still make \
-                 initialization order observable across shard lanes; pass the value \
-                 through the component that owns it"
+                 initialization order observable across concurrent cells; pass the \
+                 value through the component that owns it"
             ),
             "Mutex" | "RwLock" => format!(
                 "`{name}` in simulator code — lock acquisition order is scheduler- \
                  dependent, so anything guarded by it cannot replay bit-identically; \
-                 partition the state per channel instead"
+                 give the state a single owner instead"
             ),
             "RefCell" => "`RefCell` in simulator code — interior mutability hides writes \
-                 from the ownership structure the shard partition is derived from"
+                 from the single-owner structure each simulation is built on"
                 .to_string(),
             "Rc" | "Arc" => format!(
-                "`{name}` in simulator code — shared ownership lets two shard lanes \
-                 alias the same mutable object; give the state a single owner and \
-                 hand off through the epoch barrier"
+                "`{name}` in simulator code — shared ownership lets two simulations \
+                 alias the same mutable object; give the state a single owner"
+            ),
+            _ if name.starts_with("Atomic") => format!(
+                "`{name}` in simulator code — an atomic is state shared across threads, \
+                 and no simulation state may be; give it a single owner"
             ),
             _ => continue,
         };
         out.push(Violation {
-            rule: "shard-shared-state",
+            rule: "sim-shared-state",
             file: rel.to_string(),
             line: t[i].line,
             msg,

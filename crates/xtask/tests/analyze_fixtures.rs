@@ -1,5 +1,5 @@
 //! Fixture tests for the function-scoped analysis families
-//! (panic-freedom, atomic-discipline, fallible-result) and the
+//! (panic-freedom, fallible-result) and the
 //! stale-waiver / exit-code contracts.
 
 use xtask::analyze::{analyze_file, AnalyzeContext};
@@ -80,51 +80,6 @@ fn panic_freedom_out_of_scope_in_invariants_and_core() {
         let r = run(rel, include_str!("fixtures/panic_fires.rs"));
         assert!(lines_of(&r, "panic-freedom").is_empty(), "{rel}");
     }
-}
-
-#[test]
-fn atomic_discipline_fires() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_fires.rs"),
-    );
-    // 15: no Ordering named; 16: Relaxed off the allowlist; 17: publish
-    // side of a consumed field without Release; 18: Release with no
-    // consumer. The progress pair (14/22-23) and the #[cfg(test)] store
-    // are clean.
-    assert_eq!(lines_of(&r, "atomic-discipline"), vec![15, 16, 17, 18]);
-    assert!(r.directive_errors.is_empty(), "{:?}", r.directive_errors);
-}
-
-#[test]
-fn atomic_discipline_allow_listed() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_allowed.rs"),
-    );
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert_eq!(r.waived.len(), 1);
-    assert_eq!(r.waived[0].rule, "atomic-discipline");
-    assert!(r.directive_errors.is_empty(), "{:?}", r.directive_errors);
-}
-
-#[test]
-fn atomic_discipline_clean_on_the_real_protocol_shape() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_clean.rs"),
-    );
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.waived.is_empty());
-}
-
-#[test]
-fn atomic_discipline_out_of_scope_outside_sim() {
-    let r = run(
-        "crates/harness/src/fixture.rs",
-        include_str!("fixtures/atomic_fires.rs"),
-    );
-    assert!(lines_of(&r, "atomic-discipline").is_empty());
 }
 
 #[test]
@@ -230,20 +185,18 @@ fn exit_codes_follow_the_contract() {
 fn github_format_emits_error_annotations() {
     let mut report = LintReport::default();
     report.violations.push(xtask::rules::Violation {
-        rule: "atomic-discipline",
-        file: "crates/sim/src/shard.rs".into(),
+        rule: "panic-freedom",
+        file: "crates/sim/src/gpu.rs".into(),
         line: 42,
-        msg: "needs an\nexplicit Ordering".into(),
+        msg: "unchecked\nsubtraction".into(),
     });
     let out = xtask::render_github(&report);
     assert!(
-        out.contains(
-            "::error file=crates/sim/src/shard.rs,line=42,title=xtask atomic-discipline::"
-        ),
+        out.contains("::error file=crates/sim/src/gpu.rs,line=42,title=xtask panic-freedom::"),
         "{out}"
     );
     // Newlines must be %0A-escaped or GitHub truncates the message.
-    assert!(out.contains("needs an%0Aexplicit Ordering"), "{out}");
+    assert!(out.contains("unchecked%0Asubtraction"), "{out}");
 }
 
 #[test]
