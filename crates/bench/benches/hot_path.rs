@@ -1,7 +1,10 @@
 //! Hot-path micro benches: the three paths the cycle loop spends its
 //! time in — the FR-FCFS issue scan in the memory controller, the L2
-//! slice lookup pipeline, and a whole-kernel tiny run (the end-to-end
-//! canary `scripts/bench_smoke` runs in CI).
+//! slice lookup pipeline, and whole-kernel runs (the end-to-end canaries
+//! `scripts/bench_smoke` runs in CI): streaming vecadd on the tiny
+//! machine, and memory-bound spmv on gddr6, whose SMs block on L1 MSHRs
+//! and whose slices idle between requests — the states the cycle loop
+//! sleeps through.
 
 use ccraft_bench::{bench_cfg, bench_trace};
 use ccraft_core::factory::{run_scheme, SchemeKind};
@@ -123,17 +126,35 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    // Coarse perf canary for CI logs: simulated cycles per wall second on
-    // the whole-kernel path.
-    let start = Instant::now();
-    let stats = run_scheme(&cfg, SchemeKind::NoProtection, &trace);
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    println!(
-        "whole_kernel tiny_vecadd: {} sim cycles in {:.3}s = {:.0} cycles/sec",
-        stats.cycles,
-        secs,
-        stats.cycles as f64 / secs
-    );
+    let gddr6 = GpuConfig::gddr6();
+    let spmv = bench_trace(Workload::Spmv);
+    let mut g = c.benchmark_group("hot_whole_kernel_mem_bound");
+    g.sample_size(10).measurement_time(Duration::from_secs(4));
+    for kind in [
+        SchemeKind::NoProtection,
+        SchemeKind::CacheCraft(ccraft_core::CacheCraftConfig::for_machine(&gddr6)),
+    ] {
+        g.bench_with_input(
+            criterion::BenchmarkId::new("gddr6_spmv", kind.name()),
+            &kind,
+            |b, &kind| b.iter(|| run_scheme(&gddr6, kind, &spmv)),
+        );
+    }
+    g.finish();
+
+    // Coarse perf canaries for CI logs: simulated cycles per wall second
+    // on the whole-kernel paths.
+    for (name, cfg, trace) in [("tiny_vecadd", &cfg, &trace), ("gddr6_spmv", &gddr6, &spmv)] {
+        let start = Instant::now();
+        let stats = run_scheme(cfg, SchemeKind::NoProtection, trace);
+        let secs = start.elapsed().as_secs_f64().max(1e-9);
+        println!(
+            "whole_kernel {name}: {} sim cycles in {:.3}s = {:.0} cycles/sec",
+            stats.cycles,
+            secs,
+            stats.cycles as f64 / secs
+        );
+    }
 }
 
 criterion_group!(benches, bench);

@@ -88,10 +88,16 @@ pub struct SectorCache {
     sets: u64,
     ways: u32,
     atoms_per_line: u64,
+    /// `log2(atoms_per_line)`: the atom-to-tag shift, so the per-lookup
+    /// tag and sector math is a shift and a mask.
+    line_shift: u32,
     /// XOR-fold higher tag bits into the set index (GPU L2s hash their set
     /// selection; essential when the address stream is strided, e.g. the
     /// row-tail ECC atoms of a co-located inline layout).
     hashed: bool,
+    /// Width of each tag chunk the hashed index folds in: `log2(sets)`,
+    /// at least 1.
+    fold_bits: u32,
     lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
@@ -131,7 +137,9 @@ impl SectorCache {
             sets,
             ways,
             atoms_per_line,
+            line_shift: atoms_per_line.trailing_zeros(),
             hashed,
+            fold_bits: sets.trailing_zeros().max(1),
             lines: vec![Line::empty(); (sets * ways as u64) as usize],
             stamp: 0,
             stats: CacheStats::default(),
@@ -172,16 +180,16 @@ impl SectorCache {
     }
 
     fn tag_of(&self, atom: u64) -> u64 {
-        atom / self.atoms_per_line
+        atom >> self.line_shift
     }
 
     fn sector_of(&self, atom: u64) -> u8 {
-        1 << (atom % self.atoms_per_line)
+        1 << (atom & (self.atoms_per_line - 1))
     }
 
     fn set_range(&self, tag: u64) -> std::ops::Range<usize> {
         let set = if self.hashed {
-            let bits = self.sets.trailing_zeros().max(1);
+            let bits = self.fold_bits;
             let shr = |t: u64, s: u32| if s < 64 { t >> s } else { 0 };
             let folded = tag ^ shr(tag, bits) ^ shr(tag, 2 * bits) ^ shr(tag, 3 * bits);
             (folded & (self.sets - 1)) as usize

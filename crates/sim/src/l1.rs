@@ -60,6 +60,12 @@ pub struct L1Cache {
     /// Completed load notifications for the SM: one entry per finished
     /// access, identifying the warp.
     completions: Vec<WarpIdx>,
+    /// Set by [`tick`](Self::tick) when it polled the head read and found
+    /// it blocked on MSHRs: no hit, no MSHR to merge into, none free. Only
+    /// a fill response frees an MSHR, so until one arrives every further
+    /// poll of this head only counts a stall (its LRU touch re-touches
+    /// the line the first poll already made most recent).
+    mshr_blocked: bool,
     stats: L1Stats,
     /// Oracle counter: MSHRs allocated (request conservation).
     #[cfg(feature = "check-invariants")]
@@ -83,6 +89,7 @@ impl L1Cache {
             mshr_index: FxHashMap::default(),
             free_mshrs: (0..cfg.mshrs).rev().collect(),
             completions: Vec::new(),
+            mshr_blocked: false,
             stats: L1Stats::default(),
             #[cfg(feature = "check-invariants")]
             mshr_allocs: 0,
@@ -139,6 +146,7 @@ impl L1Cache {
         map: &mut dyn FnMut(LogicalAtom) -> crate::types::PhysLoc,
         send: &mut dyn FnMut(L2Request) -> bool,
     ) {
+        self.mshr_blocked = false;
         // Release matured hits.
         while let Some(&(ready, warp)) = self.hit_q.front() {
             if ready <= now {
@@ -193,6 +201,7 @@ impl L1Cache {
                             }
                         } else {
                             self.stats.stalls += 1;
+                            self.mshr_blocked = true;
                         }
                     }
                 },
@@ -244,6 +253,32 @@ impl L1Cache {
             return Some(now);
         }
         self.hit_q.front().map(|&(ready, _)| ready)
+    }
+
+    /// After a [`tick`](Self::tick): `Some((wake, mshr_blocked))` when the
+    /// L1 cannot act before `wake` (the next matured hit; `Cycle::MAX`:
+    /// not before a fill response) — its input queue is empty or its head
+    /// is MSHR-blocked, and every tick until then only counts a stall
+    /// when `mshr_blocked`. `None` when it may act next cycle.
+    pub fn quiet_until(&self) -> Option<(Cycle, bool)> {
+        if !self.completions.is_empty() || !(self.in_q.is_empty() || self.mshr_blocked) {
+            return None;
+        }
+        let wake = self.hit_q.front().map_or(Cycle::MAX, |&(ready, _)| ready);
+        Some((wake, self.mshr_blocked))
+    }
+
+    /// Counts `n` pipeline stall cycles: the bulk form of the stalls that
+    /// ticks of an MSHR-blocked head would have counted one by one.
+    pub fn add_stalls(&mut self, n: u64) {
+        self.stats.stalls += n;
+    }
+
+    /// Input- and hit-queue occupancy (oracle fingerprint of pipeline
+    /// progress).
+    #[cfg(feature = "check-invariants")]
+    pub fn queue_lens(&self) -> (usize, usize) {
+        (self.in_q.len(), self.hit_q.len())
     }
 
     /// `true` when no work remains in the L1.

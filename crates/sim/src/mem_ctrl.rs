@@ -692,6 +692,41 @@ impl MemCtrl {
         (self.earliest_done != Cycle::MAX).then_some(self.earliest_done)
     }
 
+    /// The first cycle after a tick at which the controller can do more
+    /// than count a busy cycle and a skipped scan: the next read
+    /// completion, or the scan memo's expiry while requests are queued
+    /// (`Cycle::MAX`: nothing queued or in flight). Pending refresh needs
+    /// no wake: the next tick catches it up lazily, exactly as after an
+    /// idle fast-forward.
+    pub fn quiet_until(&self) -> Cycle {
+        if self.read_q.is_empty() && self.write_q.is_empty() {
+            self.earliest_done
+        } else {
+            self.earliest_done.min(self.scan_asleep_until)
+        }
+    }
+
+    /// Accounts `span` skipped ticks within [`quiet_until`](Self::quiet_until)
+    /// exactly as that many [`tick`](Self::tick)s would have: while
+    /// requests are queued, each counts a busy cycle and (when profiling)
+    /// a scan-memo hit. Refresh catches up at the next tick, and the
+    /// write-drain hysteresis is idempotent over an unchanged queue.
+    pub fn account_skipped_ticks(&mut self, span: u64) {
+        if self.read_q.is_empty() && self.write_q.is_empty() {
+            return;
+        }
+        self.stats.busy_cycles += span;
+        if let Some(p) = &mut self.profile {
+            p.scan_memo.hits.add(span);
+        }
+    }
+
+    /// Performs the refresh bookkeeping of the tick at `now` alone: a
+    /// slice asleep at the end of a run settles its skipped ticks with it.
+    pub fn catch_up_refresh(&mut self, now: Cycle) {
+        self.chan.tick_refresh(now);
+    }
+
     /// Controller statistics (row counters folded in from the channel).
     pub fn stats(&self) -> McStats {
         let mut s = self.stats;

@@ -210,6 +210,12 @@ pub trait ProtectionScheme: fmt::Debug + Send {
     /// Hands out buffered ECC writes (coalescing buffers, dirty
     /// ECC-structure evictions) that should be issued now, up to `budget`
     /// atoms for `channel`.
+    ///
+    /// Once a call returns fewer than `budget` atoms, calls for the same
+    /// channel must return nothing until a `demand_fill`, `ecc_arrived`
+    /// or `writeback` for that channel, a [`flush`](Self::flush), or
+    /// [`next_timed_event`](Self::next_timed_event): the cycle loop lets
+    /// an idle L2 slice sleep on that promise.
     fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64>;
 
     /// Forces all internal buffers to become drainable (end of kernel).
