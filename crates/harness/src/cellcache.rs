@@ -23,7 +23,7 @@ use crate::error::Error;
 use crate::store;
 use ccraft_sim::stats::SimStats;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -152,6 +152,10 @@ pub struct CacheCounters {
     pub inserts: u64,
     /// Entries quarantined after failing checksum or schema verification.
     pub corrupt: u64,
+    /// Inserts whose durable write failed (the entry is not cached on
+    /// disk; absent from snapshots taken before it existed).
+    #[serde(default)]
+    pub write_failures: u64,
 }
 
 /// A directory of content-addressed cell results with an in-memory
@@ -170,6 +174,7 @@ pub struct ResultCache {
     negative_hits: AtomicU64,
     inserts: AtomicU64,
     corrupt: AtomicU64,
+    write_failures: AtomicU64,
 }
 
 impl ResultCache {
@@ -193,6 +198,7 @@ impl ResultCache {
             negative_hits: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             corrupt: AtomicU64::new(0),
+            write_failures: AtomicU64::new(0),
         };
         let entries = std::fs::read_dir(dir)
             .map_err(|e| Error::io(format!("listing cache dir {}", dir.display()), e))?;
@@ -231,6 +237,7 @@ impl ResultCache {
             negative_hits: self.negative_hits.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             corrupt: self.corrupt.load(Ordering::Relaxed),
+            write_failures: self.write_failures.load(Ordering::Relaxed),
         }
     }
 
@@ -323,7 +330,10 @@ impl ResultCache {
         let digest = &entry.digest;
         let text = serde_json::to_string_pretty(&entry)
             .map_err(|e| Error::Config(format!("serializing cache entry {digest}: {e}")))?;
-        store::write_durable(&self.entry_path(digest), text.as_bytes())?;
+        if let Err(e) = store::write_durable(&self.entry_path(digest), text.as_bytes()) {
+            self.write_failures.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         self.remember(digest);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -333,6 +343,70 @@ impl ResultCache {
     /// the filter is one-sided, so a stale positive only costs a probe).
     fn forget(&self, digest: &str) {
         lock_clean(&self.index).remove(digest);
+    }
+}
+
+/// A cell store: an in-memory memo of decoded entries in front of an
+/// optional durable [`ResultCache`]. An experiment run's
+/// [`crate::checkpoint::Session`] and the `ccraft-serve` daemon both keep
+/// their cells in one, and the matrix engine
+/// ([`crate::runner::run_matrix_cells_with_body`]) reads and fills it.
+///
+/// A memo hit is one map probe and a clone: no file read, checksum or
+/// JSON decode. The durable layer's on-disk format and corruption
+/// handling are [`ResultCache`]'s, unchanged. Without a durable layer
+/// (its directory could not be opened) the store is memo-only.
+#[derive(Debug)]
+pub struct CellStore {
+    /// Digest → entry of every cell this store has looked up or stored.
+    memo: Mutex<BTreeMap<String, CacheEntry>>,
+    durable: Option<ResultCache>,
+}
+
+impl CellStore {
+    /// A store over `durable` (memo-only when `None`).
+    pub fn new(durable: Option<ResultCache>) -> Self {
+        CellStore {
+            memo: Mutex::new(BTreeMap::new()),
+            durable,
+        }
+    }
+
+    /// The durable layer, if any.
+    pub fn durable(&self) -> Option<&ResultCache> {
+        self.durable.as_ref()
+    }
+
+    /// Looks `key` up: first in the memo, then in the durable layer (a
+    /// hit there is memoized). A damaged durable entry is quarantined by
+    /// the [`ResultCache`] and reported as a miss.
+    pub fn lookup(&self, key: &CellKey) -> Option<CacheEntry> {
+        let digest = key.digest();
+        if let Some(entry) = lock_clean(&self.memo)
+            .get(&digest)
+            .filter(|e| e.key == *key)
+        {
+            return Some(entry.clone());
+        }
+        let entry = self.durable.as_ref()?.lookup(key)?;
+        lock_clean(&self.memo).insert(digest, entry.clone());
+        Some(entry)
+    }
+
+    /// Stores a freshly simulated cell: memoized at once, then written
+    /// durably outside the memo lock.
+    ///
+    /// # Errors
+    ///
+    /// Returns the durable write's error; the memo keeps the entry
+    /// either way.
+    pub fn insert(&self, key: &CellKey, stats: &SimStats) -> Result<(), Error> {
+        let entry = CacheEntry::new(key, stats);
+        lock_clean(&self.memo).insert(entry.digest.clone(), entry);
+        match &self.durable {
+            Some(cache) => cache.insert(key, stats, 1),
+            None => Ok(()),
+        }
     }
 }
 
@@ -549,6 +623,59 @@ mod tests {
         cache.insert(&key, &stats, 1).expect("reinsert");
         assert_eq!(cache.lookup(&key).expect("healed hit").stats, stats);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_durable_writes_are_counted() {
+        let dir = temp_dir("write-failure");
+        let cache = ResultCache::open(&dir).expect("open cache");
+        std::fs::remove_dir_all(&dir).expect("remove cache dir");
+        assert!(cache.insert(&sample_key(), &sample_stats(), 1).is_err());
+        let c = cache.counters();
+        assert_eq!((c.write_failures, c.inserts), (1, 0));
+        assert!(cache.is_empty(), "a failed write is not indexed");
+    }
+
+    #[test]
+    fn cell_store_serves_hits_from_its_memo() {
+        let dir = temp_dir("memo");
+        let store = CellStore::new(Some(ResultCache::open(&dir).expect("open cache")));
+        let key = sample_key();
+        let stats = sample_stats();
+        assert!(store.lookup(&key).is_none());
+        store.insert(&key, &stats).expect("insert");
+        let durable = store.durable().expect("durable layer");
+        assert_eq!(durable.len(), 1, "insert writes through");
+        // With the file gone, the memo still answers: no disk read.
+        std::fs::remove_file(dir.join(format!("{}.json", key.digest()))).expect("remove");
+        assert_eq!(store.lookup(&key).expect("memo hit").stats, stats);
+        assert_eq!(durable.counters().hits, 0, "the memo answered");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cell_store_memoizes_durable_hits_and_works_without_disk() {
+        let dir = temp_dir("memo-durable");
+        let key = sample_key();
+        let stats = sample_stats();
+        ResultCache::open(&dir)
+            .expect("open cache")
+            .insert(&key, &stats, 1)
+            .expect("insert");
+        let store = CellStore::new(Some(ResultCache::open(&dir).expect("reopen")));
+        assert_eq!(store.lookup(&key).expect("durable hit").stats, stats);
+        assert_eq!(store.lookup(&key).expect("memo hit").stats, stats);
+        assert_eq!(store.durable().map(|d| d.counters().hits), Some(1));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let memo_only = CellStore::new(None);
+        memo_only.insert(&key, &stats).expect("memo insert");
+        assert_eq!(memo_only.lookup(&key).expect("memo hit").stats, stats);
+        let other = CellKey {
+            seed: 7,
+            ..sample_key()
+        };
+        assert!(memo_only.lookup(&other).is_none());
     }
 
     #[test]

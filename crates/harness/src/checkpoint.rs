@@ -4,14 +4,14 @@
 //! process-global [`Session`] that [`crate::runner::run_experiment`]
 //! installs, so every matrix call inside an experiment body goes through
 //! it without threading a handle through each experiment's signature.
-//! Cells are keyed by a [`CellKey`] digest of everything that
-//! determines their result (see [`crate::runner::cell_key`]). The store
-//! has three parts:
+//! Cells are keyed by a [`crate::cellcache::CellKey`] digest of
+//! everything that determines their result (see
+//! [`crate::runner::cell_key`]). The run keeps:
 //!
-//! * an **in-memory memo** (digest → result) that lets a later matrix —
-//!   or a later cell of the same matrix — reuse a result this run
-//!   already has instead of simulating it again;
-//! * a **durable layer** at `results/cells/`: a [`ResultCache`] holding
+//! * a [`CellStore`]: an **in-memory memo** (digest → result) that lets
+//!   a later matrix — or a later cell of the same matrix — reuse a
+//!   result this run already has instead of simulating it again, over a
+//!   **durable layer** at `results/cells/`, a [`ResultCache`] holding
 //!   one checksummed file per distinct successful cell, written as the
 //!   cell completes;
 //! * **`results/checkpoint.json`**, written once when the session ends
@@ -28,12 +28,11 @@
 //! execution order), and one matrix may hold several variants of one
 //! scheme name, told apart by their scheme column.
 
-use crate::cellcache::{CacheEntry, CellKey, ResultCache};
+use crate::cellcache::{CellStore, ResultCache};
 use crate::error::Error;
 use ccraft_sim::stats::SimStats;
 use ccraft_telemetry::manifest::Provenance;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -107,15 +106,9 @@ pub struct Session {
     /// Non-fatal problems hit while opening the cell store; surfaced in
     /// the run manifest.
     warnings: Vec<String>,
-    /// In-memory memo: digest → result of every ok cell this run has
-    /// simulated or loaded.
-    memo: BTreeMap<String, CacheEntry>,
-    /// The durable layer (`results/cells/`), absent when the directory
-    /// could not be opened.
-    cells: Option<Arc<ResultCache>>,
-    /// Build provenance, captured on first use: its code version is part
-    /// of every cell key.
-    provenance: Option<Provenance>,
+    /// The run's cell store; memo-only when `results/cells/` could not
+    /// be opened.
+    cells: Arc<CellStore>,
 }
 
 impl Session {
@@ -133,8 +126,8 @@ impl Session {
                 warnings.push(format!("emptying cell store {}: {e}", dir.display()));
             }
         }
-        let cells = match ResultCache::open(&dir) {
-            Ok(cache) => Some(Arc::new(cache)),
+        let durable = match ResultCache::open(&dir) {
+            Ok(cache) => Some(cache),
             Err(e) => {
                 warnings.push(format!(
                     "cell store unavailable ({e}); results are not durable"
@@ -155,9 +148,7 @@ impl Session {
             matrix_calls: 0,
             requested: 0,
             warnings,
-            memo: BTreeMap::new(),
-            cells,
-            provenance: None,
+            cells: Arc::new(CellStore::new(durable)),
         }
     }
 
@@ -170,41 +161,16 @@ impl Session {
         p
     }
 
-    /// Code version for cell keys: `rustc @ git commit`, captured once
-    /// per session.
-    pub fn code_version(&mut self) -> String {
-        let p = self.provenance.get_or_insert_with(Provenance::capture);
-        format!("{} @ {}", p.rustc, p.git_commit)
+    /// Code version for cell keys: `rustc @ git commit` of the process's
+    /// one provenance capture, which the run manifest records too.
+    pub fn code_version(&self) -> String {
+        Provenance::capture().code_version()
     }
 
-    /// The build provenance, if a cell key has captured it.
-    pub fn provenance(&self) -> Option<&Provenance> {
-        self.provenance.as_ref()
-    }
-
-    /// Looks a cell up: first in the memo, then in the durable store
-    /// (a hit there is memoized). A damaged durable entry is quarantined
-    /// by the store and reported as a miss.
-    pub fn lookup(&mut self, key: &CellKey) -> Option<CacheEntry> {
-        let digest = key.digest();
-        if let Some(entry) = self.memo.get(&digest).filter(|e| e.key == *key) {
-            return Some(entry.clone());
-        }
-        let entry = self.cells.as_ref()?.lookup(key)?;
-        self.memo.insert(digest, entry.clone());
-        Some(entry)
-    }
-
-    /// Memoizes a freshly simulated cell for the rest of the run. The
-    /// durable write goes through [`Session::cell_store`], outside the
-    /// session lock.
-    pub fn remember(&mut self, key: &CellKey, stats: &SimStats) {
-        self.memo.insert(key.digest(), CacheEntry::new(key, stats));
-    }
-
-    /// The durable layer, shared with the matrix workers.
-    pub fn cell_store(&self) -> Option<Arc<ResultCache>> {
-        self.cells.clone()
+    /// The run's cell store, shared with the matrix workers, which read
+    /// and fill it outside the session lock.
+    pub fn cell_store(&self) -> Arc<CellStore> {
+        Arc::clone(&self.cells)
     }
 
     /// Records one completed cell, replacing any previous record with the
@@ -332,6 +298,7 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cellcache::CellKey;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -442,34 +409,22 @@ mod tests {
     fn resume_reopens_the_cell_store_and_a_fresh_start_empties_it() {
         let path = tmpdir("cells").join("checkpoint.json");
         let s = Session::start("f", path.clone(), false);
-        let store = s.cell_store().expect("cell store opens");
-        assert_eq!(store.dir(), path.with_file_name(CELLS_DIR));
-        store.insert(&sample_key(1), &sample_stats(), 1).unwrap();
+        let store = s.cell_store();
+        let durable = store.durable().expect("cell store opens");
+        assert_eq!(durable.dir(), path.with_file_name(CELLS_DIR));
+        store.insert(&sample_key(1), &sample_stats()).unwrap();
         drop(s);
 
-        let mut resumed = Session::start("f", path.clone(), true);
+        let resumed = Session::start("f", path.clone(), true).cell_store();
         let hit = resumed
             .lookup(&sample_key(1))
             .expect("resume sees the entry");
         assert_eq!(hit.stats, sample_stats());
         assert!(resumed.lookup(&sample_key(2)).is_none());
 
-        let mut fresh = Session::start("f", path, false);
+        let fresh = Session::start("f", path, false).cell_store();
         assert!(fresh.lookup(&sample_key(1)).is_none());
-        assert!(fresh.cell_store().unwrap().is_empty());
-    }
-
-    #[test]
-    fn remembered_cells_are_reused_by_digest() {
-        let path = tmpdir("memo").join("checkpoint.json");
-        let mut s = Session::start("f", path, false);
-        assert!(s.lookup(&sample_key(1)).is_none());
-        s.remember(&sample_key(1), &sample_stats());
-        let hit = s.lookup(&sample_key(1)).expect("memo hit");
-        assert_eq!(hit.stats, sample_stats());
-        // The memo alone: nothing was written durably.
-        assert!(s.cell_store().unwrap().is_empty());
-        assert!(s.lookup(&sample_key(2)).is_none());
+        assert!(fresh.durable().unwrap().is_empty());
     }
 
     #[test]

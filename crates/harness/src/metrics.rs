@@ -29,6 +29,91 @@ use std::time::{Duration, Instant};
 pub const CELL_SECONDS_BUCKETS: [f64; 10] =
     [0.01, 0.05, 0.25, 1.0, 5.0, 15.0, 60.0, 300.0, 900.0, 3600.0];
 
+/// A Prometheus histogram of durations in seconds over fixed bucket
+/// bounds, updated with relaxed atomics; an implicit `+Inf` bucket
+/// completes the series.
+#[derive(Debug)]
+pub struct Histogram {
+    bounds: &'static [f64],
+    /// Cumulative count per bound.
+    buckets: Vec<AtomicU64>,
+    /// Sum of observations, in microseconds.
+    us_sum: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    /// An empty histogram over `bounds` (seconds, ascending).
+    pub fn new(bounds: &'static [f64]) -> Self {
+        Histogram {
+            bounds,
+            buckets: bounds.iter().map(|_| AtomicU64::new(0)).collect(),
+            us_sum: AtomicU64::new(0),
+            count: AtomicU64::new(0),
+        }
+    }
+
+    /// Records one observation of `secs` seconds.
+    pub fn observe(&self, secs: f64) {
+        let us = (secs.max(0.0) * 1e6).round() as u64;
+        self.us_sum.fetch_add(us, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        for (bucket, &bound) in self.buckets.iter().zip(self.bounds) {
+            if secs <= bound {
+                bucket.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Observations so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Appends the histogram as metric `name` in text exposition format.
+    pub fn render_into(&self, out: &mut String, name: &str, help: &str) {
+        use std::fmt::Write as _;
+        let count = self.count();
+        let _ = writeln!(out, "# HELP {name} {help}");
+        let _ = writeln!(out, "# TYPE {name} histogram");
+        for (bucket, &bound) in self.buckets.iter().zip(self.bounds) {
+            let n = bucket.load(Ordering::Relaxed);
+            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {n}");
+        }
+        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
+        let sum_secs = self.us_sum.load(Ordering::Relaxed) as f64 / 1e6;
+        let _ = writeln!(out, "{name}_sum {sum_secs}");
+        let _ = writeln!(out, "{name}_count {count}");
+    }
+}
+
+/// A wall-clock start point for a [`Histogram`] observation. Host-side
+/// wall time is read here, in the metrics layer, so the code it times
+/// holds no clock of its own.
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch(Instant);
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Self {
+        Stopwatch(Instant::now())
+    }
+
+    /// Seconds since [`Stopwatch::start`].
+    pub fn elapsed_secs(&self) -> f64 {
+        self.0.elapsed().as_secs_f64()
+    }
+}
+
+/// Appends one single-sample metric of `kind` (`gauge` or `counter`) in
+/// text exposition format.
+pub fn render_metric(out: &mut String, kind: &str, name: &str, help: &str, value: f64) {
+    use std::fmt::Write as _;
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    let _ = writeln!(out, "{name} {value}");
+}
+
 /// Relaxed-ordering counters describing one experiment run. All methods
 /// take `&self`; the registry is shared across worker threads via `Arc`.
 #[derive(Debug)]
@@ -51,12 +136,8 @@ pub struct MetricsRegistry {
     workers: AtomicU64,
     /// Workers currently executing a cell.
     workers_active: AtomicU64,
-    /// Sum of observed per-cell wall times, in microseconds.
-    cell_us_sum: AtomicU64,
-    /// Count of observed per-cell wall times.
-    cell_count: AtomicU64,
-    /// Cumulative bucket counts for [`CELL_SECONDS_BUCKETS`].
-    cell_buckets: [AtomicU64; CELL_SECONDS_BUCKETS.len()],
+    /// Per-cell wall times over [`CELL_SECONDS_BUCKETS`].
+    cell_seconds: Histogram,
     /// Run start, for elapsed/ETA; `None` until the first `start_run`.
     started: Mutex<Option<Instant>>,
 }
@@ -80,9 +161,7 @@ impl MetricsRegistry {
             store_retries: AtomicU64::new(0),
             workers: AtomicU64::new(0),
             workers_active: AtomicU64::new(0),
-            cell_us_sum: AtomicU64::new(0),
-            cell_count: AtomicU64::new(0),
-            cell_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            cell_seconds: Histogram::new(&CELL_SECONDS_BUCKETS),
             started: Mutex::new(Some(Instant::now())),
         }
     }
@@ -142,21 +221,13 @@ impl MetricsRegistry {
         }
         self.cells_retried
             .fetch_add(u64::from(attempts.saturating_sub(1)), Ordering::Relaxed);
-        let us = (wall_secs.max(0.0) * 1e6).round() as u64;
-        self.cell_us_sum.fetch_add(us, Ordering::Relaxed);
-        self.cell_count.fetch_add(1, Ordering::Relaxed);
-        for (i, &bound) in CELL_SECONDS_BUCKETS.iter().enumerate() {
-            if wall_secs <= bound {
-                self.cell_buckets[i].fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.cell_seconds.observe(wall_secs);
     }
 
     /// Renders the registry in Prometheus text exposition format
     /// (`text/plain; version=0.0.4`). Buckets are cumulative, as the
     /// format requires.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let planned = self.cells_planned.load(Ordering::Relaxed);
         let completed = self.cells_completed.load(Ordering::Relaxed);
         let failed = self.cells_failed.load(Ordering::Relaxed);
@@ -166,8 +237,6 @@ impl MetricsRegistry {
         let store_retries = self.store_retries.load(Ordering::Relaxed);
         let workers = self.workers.load(Ordering::Relaxed);
         let active = self.workers_active.load(Ordering::Relaxed);
-        let count = self.cell_count.load(Ordering::Relaxed);
-        let sum_secs = self.cell_us_sum.load(Ordering::Relaxed) as f64 / 1e6;
         let elapsed = self
             .started
             .lock()
@@ -188,11 +257,8 @@ impl MetricsRegistry {
         };
 
         let mut out = String::new();
-        let mut gauge = |name: &str, help: &str, v: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        };
+        let mut gauge =
+            |name: &str, help: &str, v: f64| render_metric(&mut out, "gauge", name, help, v);
         gauge(
             "ccraft_cells_planned",
             "Matrix cells planned in the current run.",
@@ -219,9 +285,7 @@ impl MetricsRegistry {
             eta,
         );
         let mut counter = |name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
+            render_metric(&mut out, "counter", name, help, v as f64)
         };
         counter(
             "ccraft_cells_completed_total",
@@ -253,18 +317,11 @@ impl MetricsRegistry {
             "Transient I/O retries performed by the durable store.",
             store_retries,
         );
-        let _ = writeln!(
-            out,
-            "# HELP ccraft_cell_seconds Wall time per executed matrix cell."
+        self.cell_seconds.render_into(
+            &mut out,
+            "ccraft_cell_seconds",
+            "Wall time per executed matrix cell.",
         );
-        let _ = writeln!(out, "# TYPE ccraft_cell_seconds histogram");
-        for (i, &bound) in CELL_SECONDS_BUCKETS.iter().enumerate() {
-            let n = self.cell_buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(out, "ccraft_cell_seconds_bucket{{le=\"{bound}\"}} {n}");
-        }
-        let _ = writeln!(out, "ccraft_cell_seconds_bucket{{le=\"+Inf\"}} {count}");
-        let _ = writeln!(out, "ccraft_cell_seconds_sum {sum_secs}");
-        let _ = writeln!(out, "ccraft_cell_seconds_count {count}");
         out
     }
 }
@@ -467,12 +524,12 @@ mod tests {
             reg.observe_cell(secs, true, 1, false);
         }
         let mut prev = 0u64;
-        for b in &reg.cell_buckets {
+        for b in &reg.cell_seconds.buckets {
             let v = b.load(Ordering::Relaxed);
             assert!(v >= prev, "cumulative buckets must be monotone");
             prev = v;
         }
-        assert!(reg.cell_count.load(Ordering::Relaxed) >= prev);
+        assert!(reg.cell_seconds.count() >= prev);
     }
 
     #[test]

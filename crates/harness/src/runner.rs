@@ -14,7 +14,7 @@
 //! is written durably to `results/cells/` as it completes, and
 //! `results/checkpoint.json` is written once, when the run ends.
 
-use crate::cellcache::CellKey;
+use crate::cellcache::{CellKey, CellStore};
 use crate::checkpoint::{self, CellRecord, STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT};
 use crate::error::Error;
 use ccraft_core::factory::{run_scheme_instrumented, SchemeKind};
@@ -569,14 +569,15 @@ fn record_outcome(sess: &mut checkpoint::Session, key: String, outcome: &CellOut
     }
 }
 
-/// The generic matrix engine: fans `workloads × schemes` out over a
-/// worker pool, isolates each cell, records every outcome in the global
-/// session, and returns the outcomes in deterministic (workload-major,
-/// scheme-minor) order.
-///
-/// With a machine config and an installed session, cells are keyed by
-/// [`cell_key`] and go through the session's cell store: `body` must
-/// then compute what [`run_cell`] computes for that config.
+/// A cell store and the key of every cell of one matrix in it, in
+/// matrix (workload-major, scheme-minor) order. Cells with equal keys
+/// must compute equal results.
+pub type KeyedCells = (Arc<CellStore>, Vec<CellKey>);
+
+/// The matrix engine over the standard cells: with a machine config and
+/// an installed session, cells are keyed by [`cell_key`] and go through
+/// the session's cell store, so `body` must then compute what
+/// [`run_cell`] computes for that config.
 fn run_matrix_engine(
     workloads: &[Workload],
     schemes: &[SchemeKind],
@@ -584,21 +585,59 @@ fn run_matrix_engine(
     body: Arc<CellBody>,
     cfg: Option<&GpuConfig>,
 ) -> Vec<CellOutcome> {
-    let all: Vec<(usize, Workload, SchemeKind)> = workloads
+    let cells = checkpoint::current().zip(cfg).map(|(sess, cfg)| {
+        let (store, code_version) = {
+            let sess = lock_clean(&sess);
+            (sess.cell_store(), sess.code_version())
+        };
+        let keys = matrix_cells(workloads, schemes)
+            .map(|(idx, w, s)| cell_key(cfg, opts, idx, w, s, &code_version))
+            .collect();
+        (store, keys)
+    });
+    run_matrix_cells_with_body(workloads, schemes, opts, body, cells)
+}
+
+/// Every `(index, workload, scheme)` of a matrix, workload-major.
+fn matrix_cells<'a>(
+    workloads: &'a [Workload],
+    schemes: &'a [SchemeKind],
+) -> impl Iterator<Item = (usize, Workload, SchemeKind)> + 'a {
+    workloads
         .iter()
-        .flat_map(|&w| schemes.iter().map(move |&s| (w, s)))
+        .flat_map(move |&w| schemes.iter().map(move |&s| (w, s)))
         .enumerate()
         .map(|(i, (w, s))| (i, w, s))
-        .collect();
+}
+
+/// The generic matrix engine: fans `workloads × schemes` out over a
+/// worker pool, isolates each cell, records every outcome in the global
+/// session (if one is installed), and returns the outcomes in
+/// deterministic (workload-major, scheme-minor) order. The `ccraft-serve`
+/// daemon runs its sweeps through it with its own body and cell store.
+///
+/// With `cells` (one key per cell; otherwise the store is not used), a
+/// cell whose key the store holds is filled without executing (a hit),
+/// only the first of the cells sharing a key runs `body`, and every
+/// successful executed cell is stored.
+pub fn run_matrix_cells_with_body(
+    workloads: &[Workload],
+    schemes: &[SchemeKind],
+    opts: &ExpOptions,
+    body: Arc<CellBody>,
+    cells: Option<KeyedCells>,
+) -> Vec<CellOutcome> {
+    let all: Vec<(usize, Workload, SchemeKind)> = matrix_cells(workloads, schemes).collect();
     let total = all.len();
 
     let session = checkpoint::current();
-    let (prefix, store) = match &session {
-        Some(s) => {
-            let mut s = lock_clean(s);
-            (s.next_matrix_prefix(total), s.cell_store())
-        }
-        None => ("m0".to_string(), None),
+    let prefix = match &session {
+        Some(s) => lock_clean(s).next_matrix_prefix(total),
+        None => "m0".to_string(),
+    };
+    let (store, keys) = match cells {
+        Some((store, keys)) if keys.len() == total => (Some(store), keys),
+        _ => (None, Vec::new()),
     };
     // Unique per cell: one matrix may hold several variants of one
     // scheme name, so the scheme column is part of the key.
@@ -612,17 +651,13 @@ fn run_matrix_engine(
     // matrix only the first is queued; the rest copy its outcome after
     // the join.
     let mut slots: Vec<Option<CellOutcome>> = (0..total).map(|_| None).collect();
-    let mut keys: Vec<Option<CellKey>> = vec![None; total];
     let mut copies: Vec<(usize, usize)> = Vec::new();
     let mut jobs: Vec<(usize, Workload, SchemeKind)> = Vec::with_capacity(total);
-    match (&session, cfg) {
-        (Some(sess), Some(cfg)) => {
-            let mut sess = lock_clean(sess);
-            let code_version = sess.code_version();
+    match &store {
+        Some(store) => {
             let mut first: BTreeMap<String, usize> = BTreeMap::new();
-            for &(idx, w, s) in &all {
-                let key = cell_key(cfg, opts, idx, w, s, &code_version);
-                if let Some(entry) = sess.lookup(&key) {
+            for (&(idx, w, s), key) in all.iter().zip(&keys) {
+                if let Some(entry) = store.lookup(key) {
                     let outcome = CellOutcome {
                         workload: w,
                         scheme: s,
@@ -632,7 +667,9 @@ fn run_matrix_engine(
                         history: vec![format!("reused from the cell store ({})", entry.digest)],
                         cache: CacheDisposition::Hit,
                     };
-                    record_outcome(&mut sess, record_key(idx), &outcome);
+                    if let Some(sess) = &session {
+                        record_outcome(&mut lock_clean(sess), record_key(idx), &outcome);
+                    }
                     slots[idx] = Some(outcome);
                 } else {
                     match first.entry(key.digest()) {
@@ -643,10 +680,9 @@ fn run_matrix_engine(
                         }
                     }
                 }
-                keys[idx] = Some(key);
             }
         }
-        _ => jobs.extend(all.iter().copied()),
+        None => jobs.extend(all.iter().copied()),
     }
     let skipped = total - jobs.len();
     if opts.resume && skipped > 0 {
@@ -683,7 +719,7 @@ fn run_matrix_engine(
                 }
                 let cell_started = Instant::now();
                 let mut outcome = run_one_cell(&body, idx, workload, scheme, opts);
-                let key = keys[idx].as_ref();
+                let key = keys.get(idx);
                 if key.is_some() {
                     outcome.cache = CacheDisposition::Miss;
                 }
@@ -711,16 +747,12 @@ fn run_matrix_engine(
                 }
                 let stored = key.zip(outcome.stats.as_ref());
                 if let (Some((key, stats)), Some(store)) = (stored, &store) {
-                    if let Err(e) = store.insert(key, stats, 1) {
+                    if let Err(e) = store.insert(key, stats) {
                         eprintln!("warning: cell store write failed: {e}");
                     }
                 }
                 if let Some(sess) = &session {
-                    let mut sess = lock_clean(sess);
-                    if let Some((key, stats)) = stored {
-                        sess.remember(key, stats);
-                    }
-                    record_outcome(&mut sess, record_key(idx), &outcome);
+                    record_outcome(&mut lock_clean(sess), record_key(idx), &outcome);
                 }
                 lock_clean(&results)[idx] = Some(outcome);
                 let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -885,20 +917,6 @@ pub fn run_matrix_cells(
     )
 }
 
-/// [`run_matrix_cells`] with a caller-supplied cell body — the hook the
-/// `ccraft-serve` daemon uses to wrap [`run_cell`] with a
-/// content-addressed cache lookup while keeping the engine's worker
-/// pool, `catch_unwind` isolation, retries and checkpoint records. The
-/// run's cell store is not consulted: the body owns its caching.
-pub fn run_matrix_cells_with_body(
-    workloads: &[Workload],
-    schemes: &[SchemeKind],
-    opts: &ExpOptions,
-    body: Arc<CellBody>,
-) -> Vec<CellOutcome> {
-    run_matrix_engine(workloads, schemes, opts, body, None)
-}
-
 /// Runs every `(workload, scheme)` pair in parallel and returns the
 /// successful results in deterministic (workload-major, scheme-minor)
 /// order.
@@ -1035,14 +1053,6 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     let mut failed_cells = 0usize;
     if let Some(sess) = &session {
         let sess = lock_clean(sess);
-        // The cell keys embed this provenance's code version; the
-        // manifest records the same capture instead of probing again.
-        if let Some(p) = sess.provenance() {
-            manifest.provenance = ccraft_telemetry::manifest::Provenance {
-                features: std::mem::take(&mut manifest.provenance.features),
-                ..p.clone()
-            };
-        }
         let executed = sess.cells().iter().filter(|c| c.attempts > 0).count();
         manifest.note("checkpoint_cells", sess.cells().len() as f64);
         manifest.note("cells_requested", sess.requested() as f64);

@@ -673,7 +673,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let entries = state.cache().len();
+    let entries = state.cache().durable().map_or(0, |c| c.len());
     let server = match ccraft_serve::Server::bind(&addr, state) {
         Ok(s) => s,
         Err(e) => {

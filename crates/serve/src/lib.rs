@@ -13,6 +13,7 @@
 //! |--------|----------------------|---------------------------------------------|
 //! | GET    | `/healthz`           | liveness probe (`ok`)                       |
 //! | GET    | `/cache`             | cache counters + entry count (JSON)         |
+//! | GET    | `/metrics`           | Prometheus text: jobs, latency, hits/misses, cells simulated |
 //! | POST   | `/jobs`              | submit a [`JobSpec`] (JSON body) → job id   |
 //! | GET    | `/jobs/<id>`         | job status summary (JSON)                   |
 //! | GET    | `/jobs/<id>/events`  | per-cell progress log (JSON array; `?from=N` skips the first N) |
@@ -40,9 +41,10 @@
 
 use ccraft_core::cachecraft::CacheCraftConfig;
 use ccraft_core::factory::SchemeKind;
-use ccraft_harness::cellcache::{CellKey, ResultCache};
+use ccraft_harness::cellcache::{CellKey, CellStore, ResultCache};
+use ccraft_harness::metrics::{self, Histogram, MetricsRegistry, Stopwatch};
 use ccraft_harness::report::Table;
-use ccraft_harness::runner::{run_cell, run_matrix_cells_with_body, CellBody, CellRun};
+use ccraft_harness::runner::{run_cell, run_matrix_cells_with_body, CellBody};
 use ccraft_harness::{CacheDisposition, CellOutcome, Error, ExpOptions};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::faults::FaultConfig;
@@ -265,15 +267,33 @@ impl Job {
     }
 }
 
-/// Shared daemon state: the cache, the job table, and the provenance
-/// captured once at startup (every cell key embeds it).
+/// Upper bounds (seconds) of the submit→done job latency histogram.
+const JOB_SECONDS_BUCKETS: [f64; 12] = [
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0, 10.0, 60.0, 600.0,
+];
+
+/// Daemon-wide job and cache counters, served on `GET /metrics`.
+#[derive(Debug)]
+struct ServeCounters {
+    jobs_done: AtomicU64,
+    jobs_failed: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
+    cells_simulated: AtomicU64,
+    job_seconds: Histogram,
+}
+
+/// Shared daemon state: the cell store, the job table, and the
+/// provenance captured once at startup (every cell key embeds it).
 #[derive(Debug)]
 pub struct ServeState {
-    cache: ResultCache,
+    cells: Arc<CellStore>,
     jobs: Mutex<BTreeMap<String, Arc<Mutex<Job>>>>,
     next_job: AtomicU64,
-    code_version: String,
-    features: Vec<String>,
+    /// Startup provenance, with the daemon's feature flags.
+    provenance: Provenance,
+    registry: Arc<MetricsRegistry>,
+    counters: ServeCounters,
 }
 
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -281,29 +301,40 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl ServeState {
-    /// Opens the cache directory and captures code-version provenance.
+    /// Opens the cache directory, captures provenance, and installs the
+    /// process-global metrics registry that the matrix engine updates.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] when the cache directory cannot be opened.
     pub fn open(cache_dir: &std::path::Path) -> Result<Arc<ServeState>, Error> {
-        let prov = Provenance::capture();
-        let mut features = Vec::new();
+        let mut provenance = Provenance::capture();
         if cfg!(feature = "check-invariants") {
-            features.push("check-invariants".to_string());
+            provenance.features.push("check-invariants".to_string());
         }
+        let registry = Arc::new(MetricsRegistry::new());
+        metrics::install(Arc::clone(&registry));
         Ok(Arc::new(ServeState {
-            cache: ResultCache::open(cache_dir)?,
+            cells: Arc::new(CellStore::new(Some(ResultCache::open(cache_dir)?))),
             jobs: Mutex::new(BTreeMap::new()),
             next_job: AtomicU64::new(1),
-            code_version: format!("{} @ {}", prov.rustc, prov.git_commit),
-            features,
+            provenance,
+            registry,
+            counters: ServeCounters {
+                jobs_done: AtomicU64::new(0),
+                jobs_failed: AtomicU64::new(0),
+                cache_hits: AtomicU64::new(0),
+                cache_misses: AtomicU64::new(0),
+                cells_simulated: AtomicU64::new(0),
+                job_seconds: Histogram::new(&JOB_SECONDS_BUCKETS),
+            },
         }))
     }
 
-    /// The result cache (for tests and the `/cache` endpoint).
-    pub fn cache(&self) -> &ResultCache {
-        &self.cache
+    /// The cell store: an in-memory memo over the durable cache (for
+    /// tests and the `/cache` endpoint).
+    pub fn cache(&self) -> &CellStore {
+        &self.cells
     }
 
     /// Submits a job: validates the spec, registers it, and spawns its
@@ -316,6 +347,7 @@ impl ServeState {
     pub fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<String, Error> {
         // Resolve eagerly so a bad spec fails the POST, not the job.
         let resolved = resolve_spec(&spec)?;
+        let submitted = Stopwatch::start();
         let id = format!("job-{}", self.next_job.fetch_add(1, Ordering::Relaxed));
         let job = Arc::new(Mutex::new(Job::new(id.clone())));
         lock_clean(&job).view.cells = (resolved.workloads.len() * resolved.schemes.len()) as u64;
@@ -324,13 +356,75 @@ impl ServeState {
         let thread_job = Arc::clone(&job);
         let spawned = std::thread::Builder::new()
             .name(format!("ccraft-{id}"))
-            .spawn(move || state.execute(&thread_job, &spec, resolved));
+            .spawn(move || state.execute(&thread_job, &spec, resolved, submitted));
         if let Err(e) = spawned {
             let mut j = lock_clean(&job);
             j.view.status = "failed".to_string();
             j.view.error = format!("failed to spawn executor: {e}");
+            self.count_job(&j.view, submitted);
         }
         Ok(id)
+    }
+
+    /// Adds a finished job to the `/metrics` counters. Called under the
+    /// job's lock, so a client that sees the job finished sees it
+    /// counted.
+    fn count_job(&self, view: &JobView, submitted: Stopwatch) {
+        let c = &self.counters;
+        let finished = if view.status == "done" {
+            &c.jobs_done
+        } else {
+            &c.jobs_failed
+        };
+        finished.fetch_add(1, Ordering::Relaxed);
+        c.cache_hits.fetch_add(view.hits, Ordering::Relaxed);
+        c.cache_misses.fetch_add(view.misses, Ordering::Relaxed);
+        c.cells_simulated
+            .fetch_add(view.simulated, Ordering::Relaxed);
+        c.job_seconds.observe(submitted.elapsed_secs());
+    }
+
+    /// The `/metrics` exposition: the matrix engine's registry plus the
+    /// daemon's job and cache counters.
+    fn render_metrics(&self) -> String {
+        let mut out = self.registry.render();
+        let c = &self.counters;
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
+        for (name, help, value) in [
+            (
+                "ccraft_serve_jobs_done_total",
+                "Jobs finished with every cell ok.",
+                load(&c.jobs_done),
+            ),
+            (
+                "ccraft_serve_jobs_failed_total",
+                "Jobs finished with a failed cell or that could not start.",
+                load(&c.jobs_failed),
+            ),
+            (
+                "ccraft_serve_cache_hits_total",
+                "Cells of finished jobs served from the cell store.",
+                load(&c.cache_hits),
+            ),
+            (
+                "ccraft_serve_cache_misses_total",
+                "Cells of finished jobs that missed the cell store.",
+                load(&c.cache_misses),
+            ),
+            (
+                "ccraft_serve_cells_simulated_total",
+                "Cells of finished jobs that were simulated.",
+                load(&c.cells_simulated),
+            ),
+        ] {
+            metrics::render_metric(&mut out, "counter", name, help, value);
+        }
+        c.job_seconds.render_into(
+            &mut out,
+            "ccraft_serve_job_seconds",
+            "Job latency from submission to completion.",
+        );
+        out
     }
 
     /// Looks a job up by id.
@@ -357,13 +451,21 @@ impl ServeState {
                 .as_deref()
                 .and_then(|s| FaultConfig::parse(s).ok())
                 .map_or_else(|| "none".to_string(), |fc| fc.canonical_spec()),
-            features: self.features.clone(),
-            code_version: self.code_version.clone(),
+            features: self.provenance.features.clone(),
+            code_version: self.provenance.code_version(),
         }
     }
 
-    /// Runs one job to completion on the calling thread.
-    fn execute(self: Arc<Self>, job: &Arc<Mutex<Job>>, spec: &JobSpec, resolved: ResolvedSpec) {
+    /// Runs one job to completion on the calling thread: the matrix
+    /// engine looks every cell up in the cell store, simulates the
+    /// misses and stores their results.
+    fn execute(
+        self: &Arc<Self>,
+        job: &Arc<Mutex<Job>>,
+        spec: &JobSpec,
+        resolved: ResolvedSpec,
+        submitted: Stopwatch,
+    ) {
         {
             let mut j = lock_clean(job);
             j.view.status = "running".to_string();
@@ -382,18 +484,46 @@ impl ServeState {
             inject: resolved.inject,
             ..ExpOptions::default()
         };
-        let state = Arc::clone(&self);
+        let keys: Vec<CellKey> = resolved
+            .workloads
+            .iter()
+            .flat_map(|&w| resolved.schemes.iter().map(move |&s| (w, s)))
+            .map(|(w, s)| self.cell_key(spec, s, w, cell_seed(spec, w, s)))
+            .collect();
         let body_job = Arc::clone(job);
         let body_spec = spec.clone();
         let cfg = resolved.cfg;
         let body: Arc<CellBody> = Arc::new(move |_, workload, scheme| {
-            state.run_cached_cell(&body_job, &body_spec, &cfg, &base_opts, workload, scheme)
+            let cell = format!("{}/{}", workload.name(), scheme.name());
+            lock_clean(&body_job).push_event(format!("cell {cell}: cache miss, simulating"));
+            let cell_opts = ExpOptions {
+                seed: cell_seed(&body_spec, workload, scheme),
+                ..base_opts
+            };
+            // The injection seed derives from the cell index; use a
+            // stable per-identity index so the result is independent of
+            // the sweep's shape (the cache key must fully determine the
+            // result).
+            run_cell(&cfg, &cell_opts, stable_cell_index(&cell), workload, scheme)
         });
-        let outcomes =
-            run_matrix_cells_with_body(&resolved.workloads, &resolved.schemes, &base_opts, body);
+        let outcomes = run_matrix_cells_with_body(
+            &resolved.workloads,
+            &resolved.schemes,
+            &base_opts,
+            body,
+            Some((Arc::clone(&self.cells), keys.clone())),
+        );
 
         let mut j = lock_clean(job);
-        for o in &outcomes {
+        for (o, key) in outcomes.iter().zip(&keys) {
+            let event = match (&o.cache, o.as_error()) {
+                (_, Some(e)) => format!("cell {}: {e}", o.cell_name()),
+                (CacheDisposition::Hit, None) => {
+                    format!("cell {}: cache hit ({})", o.cell_name(), key.digest())
+                }
+                _ => format!("cell {}: simulated", o.cell_name()),
+            };
+            j.push_event(event);
             match o.cache {
                 CacheDisposition::Hit => j.view.hits += 1,
                 CacheDisposition::Miss => j.view.misses += 1,
@@ -407,7 +537,7 @@ impl ServeState {
             .count() as u64;
         let failed: Vec<&CellOutcome> = outcomes.iter().filter(|o| !o.status.is_ok()).collect();
         j.csv = ccraft_harness::store::encode(job_csv(&outcomes).as_bytes());
-        j.manifest_json = job_manifest_json(self.as_ref(), spec, &outcomes);
+        j.manifest_json = job_manifest_json(self, spec, &outcomes);
         if failed.is_empty() {
             j.view.status = "done".to_string();
         } else {
@@ -427,47 +557,16 @@ impl ServeState {
             j.view.cells, j.view.hits, j.view.misses, j.view.simulated, j.view.status
         );
         j.push_event(line);
+        self.count_job(&j.view, submitted);
     }
+}
 
-    /// The cache-aware cell body: lookup → hit, else simulate + insert.
-    fn run_cached_cell(
-        &self,
-        job: &Arc<Mutex<Job>>,
-        spec: &JobSpec,
-        cfg: &GpuConfig,
-        base_opts: &ExpOptions,
-        workload: Workload,
-        scheme: SchemeKind,
-    ) -> CellRun {
-        let cell = format!("{}/{}", workload.name(), scheme.name());
-        let seed = spec
-            .seed_overrides
-            .iter()
-            .find(|o| o.workload == workload.name() && o.scheme == scheme.name())
-            .map_or(spec.seed, |o| o.seed);
-        let key = self.cell_key(spec, scheme, workload, seed);
-        if let Some(entry) = self.cache.lookup(&key) {
-            lock_clean(job).push_event(format!("cell {cell}: cache hit ({})", key.digest()));
-            return CellRun {
-                stats: entry.stats,
-                cache: CacheDisposition::Hit,
-            };
-        }
-        lock_clean(job).push_event(format!("cell {cell}: cache miss, simulating"));
-        let cell_opts = ExpOptions { seed, ..*base_opts };
-        // The injection seed derives from the cell index; use a stable
-        // per-identity index so the result is independent of the sweep's
-        // shape (the cache key must fully determine the result).
-        let idx = stable_cell_index(&cell);
-        let mut run = run_cell(cfg, &cell_opts, idx, workload, scheme);
-        run.cache = CacheDisposition::Miss;
-        if let Err(e) = self.cache.insert(&key, &run.stats, 1) {
-            lock_clean(job).push_event(format!("cell {cell}: cache insert failed: {e}"));
-        } else {
-            lock_clean(job).push_event(format!("cell {cell}: simulated and cached"));
-        }
-        run
-    }
+/// The seed of one cell of a job: its override, or the sweep's seed.
+fn cell_seed(spec: &JobSpec, workload: Workload, scheme: SchemeKind) -> u64 {
+    spec.seed_overrides
+        .iter()
+        .find(|o| o.workload == workload.name() && o.scheme == scheme.name())
+        .map_or(spec.seed, |o| o.seed)
 }
 
 /// FNV-1a of the cell identity, used as a stable per-cell index for
@@ -517,9 +616,7 @@ fn job_csv(outcomes: &[CellOutcome]) -> String {
 /// sweep parameters.
 fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome]) -> String {
     let mut manifest = RunManifest::new("ccraft-serve");
-    for f in &state.features {
-        manifest.provenance.features.push(f.clone());
-    }
+    manifest.provenance = state.provenance.clone();
     manifest.size = spec.size.clone();
     manifest.seed = spec.seed;
     manifest.threads = 1;
@@ -535,7 +632,10 @@ fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome
             status,
         });
     }
-    manifest.note("cache_entries", state.cache.len() as f64);
+    manifest.note(
+        "cache_entries",
+        state.cells.durable().map_or(0, ResultCache::len) as f64,
+    );
     manifest.stamp();
     serde_json::to_string_pretty(&manifest).unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"))
 }
@@ -626,48 +726,134 @@ impl Drop for Server {
     }
 }
 
-/// Reads one HTTP/1.1 request head (+ `Content-Length` body) from
-/// `stream`. Returns `(method, path, body)`.
-fn read_request(stream: &mut TcpStream) -> Option<(String, String, Vec<u8>)> {
+/// Largest accepted request head, in bytes.
+const MAX_HEAD: usize = 1 << 20;
+/// Largest accepted request body, in bytes.
+const MAX_BODY: usize = 1 << 24;
+
+/// One parsed HTTP/1.1 request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Request {
+    /// Method, e.g. `GET`.
+    method: String,
+    /// Request target, query string included.
+    path: String,
+    /// Exactly `Content-Length` bytes of body.
+    body: Vec<u8>,
+}
+
+/// Why bytes do not form a request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RequestError {
+    /// The head's blank line, or part of the body, has not arrived yet.
+    Incomplete,
+    /// The head is longer than the daemon accepts.
+    HeadTooLarge,
+    /// The request line is not `METHOD TARGET HTTP/x`.
+    BadRequestLine,
+    /// A `Content-Length` that is not one decimal number, or two that
+    /// disagree.
+    BadContentLength,
+    /// The declared body is longer than the daemon accepts.
+    BodyTooLarge,
+}
+
+impl RequestError {
+    /// The HTTP status line answering this error.
+    fn status(self) -> &'static str {
+        match self {
+            RequestError::HeadTooLarge => "431 Request Header Fields Too Large",
+            RequestError::BodyTooLarge => "413 Content Too Large",
+            RequestError::Incomplete
+            | RequestError::BadRequestLine
+            | RequestError::BadContentLength => "400 Bad Request",
+        }
+    }
+}
+
+/// Parses one request from the bytes received so far. Returns
+/// [`RequestError::Incomplete`] when more bytes are needed; bytes past
+/// the declared body are ignored.
+///
+/// # Errors
+///
+/// A [`RequestError`] naming what is malformed or missing.
+fn parse_request(buf: &[u8]) -> Result<Request, RequestError> {
+    let Some(header_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return Err(if buf.len() > MAX_HEAD {
+            RequestError::HeadTooLarge
+        } else {
+            RequestError::Incomplete
+        });
+    };
+    if header_end > MAX_HEAD {
+        return Err(RequestError::HeadTooLarge);
+    }
+    let head = String::from_utf8_lossy(&buf[..header_end]);
+    let mut lines = head.split("\r\n");
+    let mut request = lines.next().unwrap_or_default().split(' ');
+    let (Some(method), Some(path), Some(version), None) = (
+        request.next(),
+        request.next(),
+        request.next(),
+        request.next(),
+    ) else {
+        return Err(RequestError::BadRequestLine);
+    };
+    let token = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_graphic());
+    if !token(method) || !path.starts_with('/') || !token(path) || !version.starts_with("HTTP/") {
+        return Err(RequestError::BadRequestLine);
+    }
+    let mut content_length: Option<usize> = None;
+    for (name, value) in lines.filter_map(|l| l.split_once(':')) {
+        if !name.trim().eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        let n = value
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| value.parse::<usize>().ok())
+            .flatten()
+            .ok_or(RequestError::BadContentLength)?;
+        if content_length.is_some_and(|prev| prev != n) {
+            return Err(RequestError::BadContentLength);
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > MAX_BODY {
+        return Err(RequestError::BodyTooLarge);
+    }
+    let body = buf
+        .get(header_end + 4..header_end + 4 + content_length)
+        .ok_or(RequestError::Incomplete)?;
+    Ok(Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        body: body.to_vec(),
+    })
+}
+
+/// Reads one HTTP/1.1 request (head plus `Content-Length` body) from
+/// `stream`. `None` when the peer closed or stalled before sending
+/// anything.
+fn read_request(stream: &mut TcpStream) -> Option<Result<Request, RequestError>> {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() > 1 << 20 {
-            return None;
+    loop {
+        match parse_request(&buf) {
+            Err(RequestError::Incomplete) => {}
+            parsed => return Some(parsed),
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
-    let mut lines = head.lines();
-    let mut request = lines.next()?.split_whitespace();
-    let method = request.next()?.to_string();
-    let path = request.next()?.to_string();
-    let content_length: usize = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    if content_length > 1 << 24 {
-        return None;
-    }
-    let mut body = buf[header_end..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
+            Ok(n) if n > 0 => buf.extend_from_slice(&chunk[..n]),
+            // Closed or timed out mid-request: answer what arrived.
+            _ if buf.is_empty() => return None,
+            _ => return Some(Err(RequestError::Incomplete)),
         }
     }
-    body.truncate(content_length);
-    Some((method, path, body))
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &[u8]) {
@@ -686,24 +872,42 @@ fn respond_json(stream: &mut TcpStream, status: &str, body: String) {
 
 /// Routes one connection.
 fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
-    let Some((method, path, body)) = read_request(&mut stream) else {
-        return;
+    let Request { method, path, body } = match read_request(&mut stream) {
+        None => return,
+        Some(Ok(request)) => request,
+        Some(Err(e)) => {
+            return respond_json(
+                &mut stream,
+                e.status(),
+                format!("{{\"error\":\"bad request: {e:?}\"}}"),
+            )
+        }
     };
     // Strip a query string; only /events uses one.
     let (route, query) = path.split_once('?').unwrap_or((path.as_str(), ""));
     match (method.as_str(), route) {
         ("GET", "/healthz") => respond(&mut stream, "200 OK", "text/plain", b"ok\n"),
         ("GET", "/cache") => {
-            let c = state.cache().counters();
+            let durable = state.cells.durable();
+            let c = durable.map(ResultCache::counters).unwrap_or_default();
             let json = serde_json::to_string_pretty(&c).unwrap_or_default();
             // counters() has no entry count; splice it in as a sibling.
             let json = json.replacen(
                 '{',
-                &format!("{{\n  \"entries\": {},", state.cache().len()),
+                &format!(
+                    "{{\n  \"entries\": {},",
+                    durable.map_or(0, ResultCache::len)
+                ),
                 1,
             );
             respond_json(&mut stream, "200 OK", json);
         }
+        ("GET", "/metrics") => respond(
+            &mut stream,
+            "200 OK",
+            "text/plain; version=0.0.4",
+            state.render_metrics().as_bytes(),
+        ),
         ("POST", "/jobs") => {
             let spec: JobSpec = match serde_json::from_str(&String::from_utf8_lossy(&body)) {
                 Ok(s) => s,
@@ -860,14 +1064,22 @@ pub fn submit_job(addr: &str, spec: &JobSpec) -> Result<String, Error> {
     Ok(value.job)
 }
 
+/// First and longest pause between two status polls of
+/// [`wait_for_job`]: the pause doubles from the first to the longest, so
+/// a job that finishes in a few milliseconds is seen within about as
+/// long, and a long job costs the daemon at most 20 polls a second.
+const POLL_PAUSE: (Duration, Duration) = (Duration::from_millis(1), Duration::from_millis(50));
+
 /// Polls `GET /jobs/<id>` until the job leaves `queued`/`running`,
 /// printing progress events as they appear when `progress` is set.
+/// Polls back off from 1 ms to 50 ms apart.
 ///
 /// # Errors
 ///
 /// Propagates transport errors; [`Error::Config`] on malformed status.
 pub fn wait_for_job(addr: &str, id: &str, progress: bool) -> Result<JobView, Error> {
     let mut seen = 0usize;
+    let mut pause = POLL_PAUSE.0;
     loop {
         if progress {
             let (status, body) =
@@ -896,7 +1108,8 @@ pub fn wait_for_job(addr: &str, id: &str, progress: bool) -> Result<JobView, Err
             return Ok(view);
         }
         // lint: allow(wall-clock) reason=client-side poll interval while waiting on the daemon; host-side only, never inside simulated time
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(pause);
+        pause = (pause * 2).min(POLL_PAUSE.1);
     }
 }
 
@@ -1152,5 +1365,304 @@ mod tests {
         assert_eq!(v3.misses, 2, "inject spec reaches the cache key");
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The value of one single-sample metric in a `/metrics` body.
+    fn metric(text: &str, name: &str) -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+    }
+
+    #[test]
+    fn metrics_count_hits_misses_and_simulated_cells() {
+        let dir = temp_cache("metrics");
+        let spec = JobSpec {
+            workloads: vec!["vecadd".to_string()],
+            ..tiny_spec()
+        };
+        // Prewarm in one daemon, then restart over the same cache.
+        {
+            let state = ServeState::open(&dir).expect("open state");
+            let server = Server::bind("127.0.0.1:0", state).expect("bind");
+            let addr = server.addr().to_string();
+            let id = submit_job(&addr, &spec).expect("prewarm");
+            assert_eq!(wait_for_job(&addr, &id, false).expect("wait").misses, 2);
+            server.shutdown();
+        }
+        let state = ServeState::open(&dir).expect("reopen state");
+        let server = Server::bind("127.0.0.1:0", state).expect("bind");
+        let addr = server.addr().to_string();
+        let warm = submit_job(&addr, &spec).expect("warm job");
+        let v = wait_for_job(&addr, &warm, false).expect("wait warm");
+        assert_eq!((v.hits, v.misses, v.simulated), (2, 0, 0), "{v:?}");
+        let mut one_miss = spec.clone();
+        one_miss.seed_overrides.push(SeedOverride {
+            workload: "vecadd".to_string(),
+            scheme: "cachecraft".to_string(),
+            seed: 77,
+        });
+        let miss = submit_job(&addr, &one_miss).expect("one-miss job");
+        let v = wait_for_job(&addr, &miss, false).expect("wait miss");
+        assert_eq!((v.hits, v.misses, v.simulated), (1, 1, 1), "{v:?}");
+
+        let (status, body) = http_request(&addr, "GET", "/metrics", None).expect("metrics");
+        assert_eq!(status, 200);
+        let text = String::from_utf8_lossy(&body).to_string();
+        assert_eq!(metric(&text, "ccraft_serve_jobs_done_total"), 2.0);
+        assert_eq!(metric(&text, "ccraft_serve_jobs_failed_total"), 0.0);
+        assert_eq!(metric(&text, "ccraft_serve_cache_hits_total"), 3.0);
+        assert_eq!(metric(&text, "ccraft_serve_cache_misses_total"), 1.0);
+        assert_eq!(metric(&text, "ccraft_serve_cells_simulated_total"), 1.0);
+        assert_eq!(metric(&text, "ccraft_serve_job_seconds_count"), 2.0);
+        assert!(
+            text.contains("ccraft_serve_job_seconds_bucket{le=\"+Inf\"} 2"),
+            "{text}"
+        );
+        // The matrix engine's registry is rendered too.
+        assert!(text.contains("ccraft_cells_completed_total"), "{text}");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn job_provenance_is_the_daemons_startup_capture() {
+        let dir = temp_cache("provenance");
+        let state = ServeState::open(&dir).expect("open state");
+        let startup = state.provenance.clone();
+        assert_eq!(startup.rustc, ccraft_telemetry::manifest::BUILD_RUSTC);
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&state)).expect("bind");
+        let addr = server.addr().to_string();
+        let spec = JobSpec {
+            workloads: vec!["vecadd".to_string()],
+            schemes: vec!["no-protection".to_string()],
+            ..tiny_spec()
+        };
+        let id = submit_job(&addr, &spec).expect("submit");
+        assert_eq!(
+            wait_for_job(&addr, &id, false).expect("wait").status,
+            "done"
+        );
+        let (status, body) =
+            http_request(&addr, "GET", &format!("/jobs/{id}/manifest"), None).expect("manifest");
+        assert_eq!(status, 200);
+        let manifest: RunManifest =
+            serde_json::from_str(&String::from_utf8_lossy(&body)).expect("manifest json");
+        assert_eq!(manifest.provenance.rustc, startup.rustc);
+        assert_eq!(manifest.provenance.git_commit, startup.git_commit);
+        // The job's cell key carries the same code version.
+        let entry = std::fs::read_dir(&dir)
+            .expect("list cache")
+            .flatten()
+            .find(|e| e.file_name().to_string_lossy().ends_with(".json"))
+            .expect("one cache entry");
+        let (text, _) =
+            ccraft_harness::store::read_verified_string(&entry.path()).expect("read entry");
+        let entry: ccraft_harness::cellcache::CacheEntry =
+            serde_json::from_str(&text).expect("entry json");
+        assert_eq!(
+            entry.key.code_version,
+            format!(
+                "{} @ {}",
+                manifest.provenance.rustc, manifest.provenance.git_commit
+            )
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// SplitMix64: a seeded, dependency-free generator for the fuzzers.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Fragments that steer mutations toward parser edge cases.
+    const SPLICES: &[&[u8]] = &[
+        b"\r\n",
+        b"\r\n\r\n",
+        b":",
+        b" ",
+        b"Content-Length: ",
+        b"Content-Length: 99999999999999999999999",
+        b"Content-Length: -1",
+        b"Content-Length: 5\r\nContent-Length: 6",
+        b"\0",
+        b"\xff\xfe",
+        b"{",
+        b"}",
+        b"[",
+        b"\"",
+        b"\\u12",
+        b"1e999",
+        b"-",
+        b"null",
+        b"\"all\"",
+        b"\"seed\":18446744073709551616",
+        b"\"inject\":\"symbol:nan\"",
+        b"\"inject\":\":::\"",
+    ];
+
+    /// One random edit: flip, insert, delete, splice, duplicate or
+    /// truncate.
+    fn mutate(rng: &mut Mix, input: &[u8]) -> Vec<u8> {
+        let mut out = input.to_vec();
+        for _ in 0..=rng.below(3) {
+            let at = rng.below(out.len() + 1);
+            match rng.below(6) {
+                0 if at < out.len() => out[at] ^= 1 << rng.below(8),
+                1 => out.insert(at, rng.next() as u8),
+                2 if at < out.len() => {
+                    out.remove(at);
+                }
+                3 => {
+                    let s = SPLICES[rng.below(SPLICES.len())];
+                    out.splice(at..at, s.iter().copied());
+                }
+                4 => {
+                    let end = (at + rng.below(16)).min(out.len());
+                    let piece = out[at..end].to_vec();
+                    out.splice(at..at, piece);
+                }
+                _ => out.truncate(at),
+            }
+        }
+        out
+    }
+
+    fn spec_corpus() -> Vec<String> {
+        let mut full = tiny_spec();
+        full.inject = Some("symbol:1e-6".to_string());
+        full.seed_overrides.push(SeedOverride {
+            workload: "vecadd".to_string(),
+            scheme: "cachecraft".to_string(),
+            seed: 9,
+        });
+        vec![
+            serde_json::to_string(&tiny_spec()).expect("spec json"),
+            serde_json::to_string(&full).expect("spec json"),
+            "{}".to_string(),
+            r#"{"workloads":["all"],"schemes":["all"],"size":"full"}"#.to_string(),
+        ]
+    }
+
+    /// Parses a job body the way `POST /jobs` does, up to the point of
+    /// submitting it: Ok when the daemon would accept it.
+    fn check_spec(body: &[u8]) -> Result<(), String> {
+        let spec: JobSpec =
+            serde_json::from_str(&String::from_utf8_lossy(body)).map_err(|e| e.to_string())?;
+        resolve_spec(&spec).map(|_| ()).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn mutated_requests_and_job_specs_never_panic() {
+        let mut rng = Mix(0x5eed_f022);
+        let mut requests: Vec<Vec<u8>> = vec![
+            b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n".to_vec(),
+            b"GET /jobs/job-1/events?from=3 HTTP/1.1\r\n\r\n".to_vec(),
+            b"GET /metrics HTTP/1.0\r\nAccept: */*\r\n\r\n".to_vec(),
+        ];
+        for body in spec_corpus() {
+            requests.push(
+                format!(
+                    "POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes(),
+            );
+        }
+        for r in &requests {
+            assert!(parse_request(r).is_ok(), "{}", String::from_utf8_lossy(r));
+        }
+        let (mut parsed, mut specs_ok) = (0, 0);
+        for case in 0..20_000 {
+            let seed = &requests[case % requests.len()];
+            let input = mutate(&mut rng, seed);
+            let outcome = std::panic::catch_unwind(|| match parse_request(&input) {
+                Ok(req) => Some(check_spec(&req.body).is_ok()),
+                Err(e) => {
+                    assert!(e.status().starts_with('4'), "{e:?} -> {}", e.status());
+                    None
+                }
+            });
+            match outcome {
+                Ok(Some(spec_ok)) => {
+                    parsed += 1;
+                    specs_ok += usize::from(spec_ok);
+                }
+                Ok(None) => {}
+                Err(_) => panic!(
+                    "case {case} panicked on {:?}",
+                    String::from_utf8_lossy(&input)
+                ),
+            }
+        }
+        // The mutations exercise both outcomes of both parsers.
+        assert!(parsed > 1_000 && parsed < 19_000, "{parsed} parsed");
+        assert!(specs_ok > 100, "{specs_ok} accepted specs");
+
+        let corpus = spec_corpus();
+        for case in 0..20_000 {
+            let input = mutate(&mut rng, corpus[case % corpus.len()].as_bytes());
+            if std::panic::catch_unwind(|| check_spec(&input)).is_err() {
+                panic!(
+                    "spec case {case} panicked on {:?}",
+                    String::from_utf8_lossy(&input)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn request_parser_reports_typed_errors() {
+        assert_eq!(
+            parse_request(b"GET / HTTP/1.1\r\n"),
+            Err(RequestError::Incomplete)
+        );
+        assert_eq!(
+            parse_request(b"GET  / HTTP/1.1\r\n\r\n"),
+            Err(RequestError::BadRequestLine)
+        );
+        assert_eq!(
+            parse_request(b"GET nope HTTP/1.1\r\n\r\n"),
+            Err(RequestError::BadRequestLine)
+        );
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: x\r\n\r\n"),
+            Err(RequestError::BadContentLength)
+        );
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 1\r\ncontent-length: 2\r\n\r\n"),
+            Err(RequestError::BadContentLength)
+        );
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"),
+            Err(RequestError::BodyTooLarge)
+        );
+        assert_eq!(
+            parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\n{}"),
+            Err(RequestError::Incomplete)
+        );
+        let req = parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}extra")
+            .expect("complete request");
+        assert_eq!(req.body, b"{}");
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.path, "/jobs");
+        assert_eq!(
+            parse_request(&vec![b'a'; MAX_HEAD + 1]),
+            Err(RequestError::HeadTooLarge)
+        );
     }
 }

@@ -245,7 +245,7 @@ pub trait ProtectionScheme: fmt::Debug + Send {
 
     /// The codec the in-situ fault injector should run decode trials
     /// through (see [`crate::faults`]). Defaults to
-    /// [`ProtectionCodec::Unprotected`]: any injected data fault is silent
+    /// [`ProtectionCodec::Unprotected`](crate::faults::ProtectionCodec::Unprotected): any injected data fault is silent
     /// corruption. Real schemes override this with their storage codec.
     fn fault_codec(&self) -> crate::faults::ProtectionCodec {
         crate::faults::ProtectionCodec::Unprotected

@@ -361,7 +361,7 @@ impl SmCore {
     /// [`asleep_until`](Self::asleep_until)), or earlier when the loop
     /// calls [`end_sleep_by`](Self::end_sleep_by) for a delivered
     /// response. Each skipped tick would have counted exactly one
-    /// [`SleepCharge`]: the stall reason and doneness are frozen, because
+    /// `SleepCharge`: the stall reason and doneness are frozen, because
     /// only those events change which warps are ready or done. Requiring
     /// the head to have been polled by this very tick keeps the L1's LRU
     /// order exact: the first poll of a head touches its line, later

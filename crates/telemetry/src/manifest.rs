@@ -2,15 +2,22 @@
 //! results, recording what produced them.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Build/host provenance captured into the manifest so tools like
 /// `ccx perf-diff` can refuse to compare runs from different toolchains
 /// or machines. Every field degrades to `"unknown"` (or empty) when the
 /// probe fails — provenance capture must never fail a run.
+///
+/// The compiler version is recorded when the crate is built; the git
+/// state and hostname are probed once per process (see
+/// [`Provenance::capture`]), so a long-running daemon reports the state
+/// it started with.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Provenance {
-    /// `rustc -V` of the toolchain that built the binary's environment.
+    /// `rustc -V` of the toolchain that built the binary.
     #[serde(default)]
     pub rustc: String,
     /// `git rev-parse HEAD` of the working tree, with a `-dirty` suffix
@@ -27,16 +34,36 @@ pub struct Provenance {
     pub features: Vec<String>,
 }
 
+/// `rustc -V` of the compiler that built this crate, recorded by
+/// `build.rs` (`"unknown"` when the build could not run it).
+pub const BUILD_RUSTC: &str = env!("CCRAFT_RUSTC_VERSION");
+
+/// The process's one provenance capture.
+static CAPTURED: OnceLock<Provenance> = OnceLock::new();
+
+/// Subprocesses spawned by provenance probes in this process.
+static PROBES: AtomicU64 = AtomicU64::new(0);
+
 impl Provenance {
-    /// Captures toolchain, commit, and hostname from the environment.
-    /// `features` is left empty for the caller to fill.
+    /// The process's build/host provenance: [`BUILD_RUSTC`] plus the git
+    /// commit and hostname, probed on the first call and reused by every
+    /// later one, so only the first call spawns subprocesses. `features`
+    /// is left empty for the caller to fill.
     pub fn capture() -> Self {
-        Provenance {
-            rustc: probe_cmd("rustc", &["-V"]),
-            git_commit: capture_git_commit(),
-            hostname: capture_hostname(),
-            features: Vec::new(),
-        }
+        CAPTURED
+            .get_or_init(|| Provenance {
+                rustc: BUILD_RUSTC.to_string(),
+                git_commit: capture_git_commit(),
+                hostname: capture_hostname(),
+                features: Vec::new(),
+            })
+            .clone()
+    }
+
+    /// `rustc @ git commit`: the code version every cell-cache key
+    /// embeds.
+    pub fn code_version(&self) -> String {
+        format!("{} @ {}", self.rustc, self.git_commit)
     }
 
     /// True when nothing was captured (used to omit the manifest field).
@@ -45,13 +72,19 @@ impl Provenance {
     }
 }
 
-/// Runs a command and returns its trimmed stdout, or `"unknown"`.
-fn probe_cmd(cmd: &str, args: &[&str]) -> String {
+/// Runs a command and returns its successful output, if any.
+fn run_probe(cmd: &str, args: &[&str]) -> Option<std::process::Output> {
+    PROBES.fetch_add(1, Ordering::Relaxed);
     std::process::Command::new(cmd)
         .args(args)
         .output()
         .ok()
         .filter(|o| o.status.success())
+}
+
+/// Runs a command and returns its trimmed stdout, or `"unknown"`.
+fn probe_cmd(cmd: &str, args: &[&str]) -> String {
+    run_probe(cmd, args)
         .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
@@ -63,12 +96,7 @@ fn capture_git_commit() -> String {
         return commit;
     }
     // `git status --porcelain` prints nothing when the tree is clean.
-    let dirty = std::process::Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .is_some_and(|o| !o.stdout.is_empty());
+    let dirty = run_probe("git", &["status", "--porcelain"]).is_some_and(|o| !o.stdout.is_empty());
     if dirty {
         format!("{commit}-dirty")
     } else {
@@ -176,9 +204,10 @@ impl RunManifest {
         self.warnings.push(message.into());
     }
 
-    /// Stamps the completion time from the system clock and captures
-    /// build/host provenance if the caller has not already set it
-    /// (feature flags already pushed into `provenance` are preserved).
+    /// Stamps the completion time from the system clock and fills in the
+    /// process's provenance ([`Provenance::capture`]) if the caller has
+    /// not already set it (feature flags already pushed into
+    /// `provenance` are preserved).
     pub fn stamp(&mut self) {
         self.completed_unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -243,6 +272,43 @@ mod tests {
         m.stamp();
         assert_eq!(m.provenance.features, vec!["check-invariants"]);
         assert!(!m.provenance.rustc.is_empty());
+    }
+
+    #[test]
+    fn a_second_capture_probes_nothing() {
+        let first = Provenance::capture();
+        let probes = PROBES.load(Ordering::Relaxed);
+        let second = Provenance::capture();
+        assert_eq!(PROBES.load(Ordering::Relaxed), probes);
+        assert_eq!(first, second);
+        assert_eq!(first.rustc, BUILD_RUSTC);
+        assert_eq!(
+            first.code_version(),
+            format!("{} @ {}", first.rustc, first.git_commit)
+        );
+    }
+
+    #[test]
+    fn build_time_rustc_has_the_version_form() {
+        // `rustc X.Y.Z (<hash> <date>)`, optionally with a channel
+        // suffix on the version (`1.80.0-nightly`).
+        let rest = BUILD_RUSTC
+            .strip_prefix("rustc ")
+            .unwrap_or_else(|| panic!("{BUILD_RUSTC:?}"));
+        let (version, detail) = rest
+            .split_once(' ')
+            .unwrap_or_else(|| panic!("{BUILD_RUSTC:?}"));
+        let numbers = version.split('-').next().unwrap_or_default();
+        let parts: Vec<&str> = numbers.split('.').collect();
+        assert_eq!(parts.len(), 3, "{BUILD_RUSTC:?}");
+        assert!(
+            parts.iter().all(|p| p.parse::<u32>().is_ok()),
+            "{BUILD_RUSTC:?}"
+        );
+        assert!(
+            detail.starts_with('(') && detail.ends_with(')'),
+            "{BUILD_RUSTC:?}"
+        );
     }
 
     #[test]

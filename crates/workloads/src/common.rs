@@ -2,7 +2,7 @@
 
 use ccraft_sim::coalesce::{coalesce, coalesce_writes};
 use ccraft_sim::trace::WarpOp;
-use ccraft_sim::types::ATOM_BYTES;
+use ccraft_sim::types::{LogicalAtom, ATOM_BYTES};
 
 /// Threads per warp (fixed by the SIMT model).
 pub const WARP_THREADS: u64 = 32;
@@ -83,33 +83,26 @@ impl ArrayRef {
     }
 }
 
+/// Byte addresses of the lanes of a warp over `WARP_THREADS` consecutive
+/// elements of `arr` from `start`; lanes beyond the array are inactive.
+fn warp_lanes(arr: &ArrayRef, start: u64) -> impl Iterator<Item = u64> + '_ {
+    (start..start.saturating_add(WARP_THREADS).min(arr.len())).map(|i| arr.elem(i))
+}
+
 /// Builds a coalesced warp load of `WARP_THREADS` consecutive elements of
 /// `arr` starting at element `start` (lanes beyond the array are inactive).
 pub fn warp_load(arr: &ArrayRef, start: u64) -> Option<WarpOp> {
-    let addrs: Vec<u64> = (0..WARP_THREADS)
-        .map(|t| start + t)
-        .filter(|&i| i < arr.len())
-        .map(|i| arr.elem(i))
-        .collect();
-    if addrs.is_empty() {
-        None
-    } else {
-        Some(WarpOp::Load {
-            atoms: coalesce(&addrs),
-        })
-    }
+    load_op(coalesce(warp_lanes(arr, start)))
 }
 
 /// Builds a coalesced warp store of consecutive elements, classifying each
 /// touched atom as fully or partially covered. Emits one `Store` per
 /// coverage class when both occur.
 pub fn warp_store(arr: &ArrayRef, start: u64) -> Vec<WarpOp> {
-    let addrs: Vec<u64> = (0..WARP_THREADS)
-        .map(|t| start + t)
-        .filter(|&i| i < arr.len())
-        .map(|i| arr.elem(i))
-        .collect();
-    store_from_addrs(&addrs, arr.elem_bytes as u32)
+    store_ops(&coalesce_writes(
+        warp_lanes(arr, start),
+        arr.elem_bytes as u32,
+    ))
 }
 
 /// Builds store op(s) from raw per-thread byte addresses.
@@ -117,53 +110,45 @@ pub fn store_from_addrs(addrs: &[u64], elem_bytes: u32) -> Vec<WarpOp> {
     if addrs.is_empty() {
         return Vec::new();
     }
-    let covered = coalesce_writes(addrs, elem_bytes);
-    let full: Vec<_> = covered
-        .iter()
-        .filter(|&&(_, f)| f)
-        .map(|&(a, _)| a)
-        .collect();
-    let partial: Vec<_> = covered
-        .iter()
-        .filter(|&&(_, f)| !f)
-        .map(|&(a, _)| a)
-        .collect();
-    let mut ops = Vec::new();
-    if !full.is_empty() {
-        ops.push(WarpOp::Store {
-            atoms: full,
-            full: true,
-        });
-    }
-    if !partial.is_empty() {
-        ops.push(WarpOp::Store {
-            atoms: partial,
-            full: false,
-        });
-    }
-    ops
+    store_ops(&coalesce_writes(addrs, elem_bytes))
+}
+
+/// Splits coalesced store atoms into a fully covered and a partially
+/// covered `Store`, omitting an empty class.
+fn store_ops(covered: &[(LogicalAtom, bool)]) -> Vec<WarpOp> {
+    let class = |full: bool| -> Vec<LogicalAtom> {
+        covered
+            .iter()
+            .filter(|&&(_, f)| f == full)
+            .map(|&(a, _)| a)
+            .collect()
+    };
+    [true, false]
+        .into_iter()
+        .map(|full| (class(full), full))
+        .filter(|(atoms, _)| !atoms.is_empty())
+        .map(|(atoms, full)| WarpOp::Store { atoms, full })
+        .collect()
 }
 
 /// Builds a gather load from arbitrary per-thread element indices.
 pub fn gather_load(arr: &ArrayRef, indices: &[u64]) -> Option<WarpOp> {
-    let addrs: Vec<u64> = indices
-        .iter()
-        .filter(|&&i| i < arr.len())
-        .map(|&i| arr.elem(i))
-        .collect();
-    if addrs.is_empty() {
-        None
-    } else {
-        Some(WarpOp::Load {
-            atoms: coalesce(&addrs),
-        })
-    }
+    load_op(coalesce(
+        indices
+            .iter()
+            .filter(|&&i| i < arr.len())
+            .map(|&i| arr.elem(i)),
+    ))
+}
+
+/// A `Load` of the coalesced atoms, or `None` when no lane was active.
+fn load_op(atoms: Vec<LogicalAtom>) -> Option<WarpOp> {
+    (!atoms.is_empty()).then_some(WarpOp::Load { atoms })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccraft_sim::types::LogicalAtom;
 
     #[test]
     fn layouter_aligns_to_lines() {
